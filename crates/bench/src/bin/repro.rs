@@ -8,8 +8,7 @@
 //! repro fig14     [--bench NAME|all] [--scenario-file PATH]
 //!                 [--max-k N | --ks 4,6,8] [--timeout-secs S]
 //!                 [--no-ms] [--shards N] [--json PATH] [--trace PATH]
-//!                 [--workers HOST:PORT,...] [--plan striped|adaptive]
-//!                 [--history DUMP.json,...] [--halt-workers]
+//!                 [--workers HOST:PORT,...] [--halt-workers]
 //! repro table1
 //! repro table2
 //! repro table3
@@ -23,10 +22,7 @@
 //!                 [--timeout-secs S] [--threads T]
 //! repro ask       [--port P] [--request JSON]
 //! repro soak      [--bench NAME] [--ks 4,6,8] [--clients N] [--deltas M] [--json PATH]
-//! repro plan      [--bench NAME] [--k K] [--shards N] [--history DUMP.json,...]
-//! repro worker    [--listen HOST:PORT] [--die-after N]
-//! repro shard-worker --bench NAME --k K --shard I --shards N
-//!                 [--nodes a,b,...] [--plan-spec JSON]  (internal)
+//! repro worker    [--listen HOST:PORT] [--die-after N] [--scenario-file PATH]
 //! repro fuzz      [--cases N] [--seed S] [--out DIR] [--steps N]
 //! repro check     --scenario-file PATH [--steps N] [--timeout-secs S]
 //! repro export    --bench NAME [--k K] [--out PATH]
@@ -38,24 +34,21 @@
 //! IGP/EGP and link-failure scenarios — all present in `fig14`, `--json`
 //! dumps and sharding alike. `--scenario-file PATH` compiles a declarative
 //! TOML scenario (see `examples/scenarios/`) into the same registry, so file
-//! scenarios flow through sweeps, subprocess sharding, the daemon and
-//! `repro check` unchanged; `repro export` prints any registry scenario in
-//! that format. Defaults keep the sweeps laptop-sized (k ≤ 12, 60 s
-//! budget); raise `--max-k`/`--timeout-secs` to push toward the paper's
-//! k = 40 / 2 h runs. With `--shards N` the modular engine forks `N` worker
-//! subprocesses per row, merges their shard reports, and asserts full node
-//! coverage; without sharding, sweep rows share one persistent checker pool
-//! whose solver sessions carry over between rows.
+//! scenarios flow through sweeps, sharding, the daemon and `repro check`
+//! unchanged; `repro export` prints any registry scenario in that format.
+//! Defaults keep the sweeps laptop-sized (k ≤ 12, 60 s budget); raise
+//! `--max-k`/`--timeout-secs` to push toward the paper's k = 40 / 2 h runs.
+//! Without sharding, sweep rows share one persistent checker pool whose
+//! solver sessions carry over between rows.
 //!
-//! With `--workers host:port,...` the sweep goes *distributed*: each row's
-//! shards are dispatched over TCP to `repro worker --listen` processes
-//! (anywhere), with heartbeat liveness, dead-worker reassignment and
-//! batched cross-worker stealing; `--shards` then defaults to 4x the worker
-//! count so the steal scheduler has batches to move. `--plan adaptive`
-//! replaces class-striped shard plans with cost-model LPT packing, fit from
-//! the accumulated `--json` dumps named by `--history` (uniform costs when
-//! no history exists); `repro plan` prints the resulting plan without
-//! running anything.
+//! Sharded sweeps run on `repro worker` processes over TCP, with heartbeat
+//! liveness, dead-worker reassignment and batched cross-worker stealing.
+//! `--shards N` alone spawns `N` loopback workers once per sweep (each gets
+//! `--threads`, or an equal share of the cores) and halts them at the end;
+//! `--workers host:port,...` uses already-running workers anywhere, and
+//! `--shards` then defaults to 4x the worker count so the steal scheduler
+//! has batches to move. Either way each row's shard reports are merged with
+//! a full node-coverage proof.
 //!
 //! `--trace PATH` (fig14, infer) collects spans from every layer —
 //! per-node checks, per-VC encode/solve, scheduler claim/steal, CEGIS
@@ -75,10 +68,11 @@
 
 use std::time::Duration;
 
+use timepiece_bench::dist::LISTENING;
 use timepiece_bench::{
-    fattree_instance, halt_workers, loc, plan_row, run_row, run_row_distributed, run_row_pooled,
-    run_row_sharded, run_shard, run_shard_nodes, run_soak, run_worker, trend, BenchKind,
-    DistOptions, PlanChoice, PlanSpec, Row, SoakOptions, SweepOptions, WorkerExit, WorkerOptions,
+    fattree_instance, halt_workers, loc, run_row, run_row_distributed, run_row_pooled, run_soak,
+    run_worker, trend, BenchKind, DistOptions, LoopbackWorkers, Row, SoakOptions, SweepOptions,
+    WorkerExit, WorkerOptions,
 };
 use timepiece_core::check::{CheckOptions, ModularChecker};
 use timepiece_core::monolithic::check_monolithic;
@@ -110,9 +104,7 @@ subcommands:
   serve      start timepieced: the verification daemon, warm on one instance
   ask        send one NDJSON request to a running timepieced and print the reply
   soak       concurrent delta streams against one warm daemon (p50/p95, cones)
-  plan       print the striped and adaptive shard plans without running anything
   worker     serve shard checks over TCP until a coordinator sends halt
-  shard-worker  (internal) check one shard of one instance, print JSON report
   fuzz       differential-fuzz the three policy evaluators, shrink failures
   check      replay one --scenario-file through every evaluator and the checker
   export     print a registry scenario as a scenario file (edit and recompile)
@@ -131,18 +123,12 @@ struct Args {
     peers: usize,
     shards: usize,
     workers: Vec<String>,
-    plan: String,
-    history: Vec<String>,
     halt_workers: bool,
     listen: Option<String>,
     die_after: Option<usize>,
-    nodes: Option<String>,
-    plan_spec: Option<String>,
     json: Option<String>,
     trace: Option<String>,
     k: Option<usize>,
-    shard: Option<usize>,
-    trace_spans: bool,
     port: u16,
     request: Option<String>,
     clients: usize,
@@ -167,18 +153,12 @@ impl Default for Args {
             peers: 253,
             shards: 1,
             workers: Vec::new(),
-            plan: "striped".to_owned(),
-            history: Vec::new(),
             halt_workers: false,
             listen: None,
             die_after: None,
-            nodes: None,
-            plan_spec: None,
             json: None,
             trace: None,
             k: None,
-            shard: None,
-            trace_spans: false,
             port: 7171,
             request: None,
             clients: 4,
@@ -240,12 +220,6 @@ static FLAGS: &[FlagSpec] = &[
         set: |a, f, v| typed(f, v, "seconds").map(|s| a.timeout = Duration::from_secs(s)),
     },
     FlagSpec {
-        name: "--timeout-millis",
-        metavar: "M",
-        help: "per-engine solver budget in milliseconds (shard protocol)",
-        set: |a, f, v| typed(f, v, "milliseconds").map(|m| a.timeout = Duration::from_millis(m)),
-    },
-    FlagSpec {
         name: "--threads",
         metavar: "T",
         help: "worker threads for the modular checker (default: all cores)",
@@ -263,7 +237,7 @@ static FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--scenario-file",
         metavar: "PATH",
-        help: "compile PATH and register it as a scenario (fig14, serve,\ncheck, shard-worker); fig14 then sweeps it unless --bench widens",
+        help: "compile PATH and register it as a scenario (fig14, serve,\ncheck, worker); fig14 then sweeps it unless --bench widens",
         set: |a, _, v| {
             a.scenario_file = Some(v.to_owned());
             Ok(())
@@ -296,7 +270,7 @@ static FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--shards",
         metavar: "N",
-        help: "fork N shard-worker processes per modular sweep row\n(with --workers: shards per row, default 4x worker count;\n plan: shards to plan, default 4)",
+        help: "split each modular sweep row into N shards, checked by N\nloopback worker processes (with --workers: shards per row,\ndefault 4x worker count)",
         set: |a, f, v| {
             a.shards = typed(f, v, "shard count")?;
             if a.shards == 0 {
@@ -308,35 +282,13 @@ static FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--workers",
         metavar: "LIST",
-        help: "(fig14) dispatch shards over TCP to these comma-separated\n`repro worker` host:port addresses instead of forking",
+        help: "(fig14) dispatch shards over TCP to these comma-separated\n`repro worker` host:port addresses instead of loopback ones",
         set: |a, f, v| {
             a.workers =
                 v.split(',').map(str::trim).filter(|s| !s.is_empty()).map(String::from).collect();
             if a.workers.is_empty() {
                 return Err(format!("{f} requires at least one worker address"));
             }
-            Ok(())
-        },
-    },
-    FlagSpec {
-        name: "--plan",
-        metavar: "P",
-        help: "(fig14, plan) shard plan: striped (default) or adaptive",
-        set: |a, f, v| {
-            if v != "striped" && v != "adaptive" {
-                return Err(format!("{f}: expected striped or adaptive, got {v:?}"));
-            }
-            a.plan = v.to_owned();
-            Ok(())
-        },
-    },
-    FlagSpec {
-        name: "--history",
-        metavar: "LIST",
-        help: "(fig14, plan) comma-separated fig14 --json dumps the\nadaptive cost model is fit from (none: uniform costs)",
-        set: |a, _, v| {
-            a.history =
-                v.split(',').map(str::trim).filter(|p| !p.is_empty()).map(String::from).collect();
             Ok(())
         },
     },
@@ -365,24 +317,6 @@ static FLAGS: &[FlagSpec] = &[
         set: |a, f, v| typed(f, v, "check count").map(|n| a.die_after = Some(n)),
     },
     FlagSpec {
-        name: "--nodes",
-        metavar: "LIST",
-        help: "(shard-worker) comma-separated node names to check,\noverriding the locally recomputed striped plan",
-        set: |a, _, v| {
-            a.nodes = Some(v.to_owned());
-            Ok(())
-        },
-    },
-    FlagSpec {
-        name: "--plan-spec",
-        metavar: "JSON",
-        help: "(shard-worker) plan spec to record in the shard report",
-        set: |a, _, v| {
-            a.plan_spec = Some(v.to_owned());
-            Ok(())
-        },
-    },
-    FlagSpec {
         name: "--json",
         metavar: "PATH",
         help: "also write fig14 rows as machine-readable JSON to PATH",
@@ -403,23 +337,8 @@ static FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--k",
         metavar: "K",
-        help: "(serve, export, shard-worker) fattree parameter of the instance",
+        help: "(serve, export) fattree parameter of the instance",
         set: |a, f, v| typed(f, v, "integer k").map(|k| a.k = Some(k)),
-    },
-    FlagSpec {
-        name: "--shard",
-        metavar: "I",
-        help: "(shard-worker) which shard of the plan to check",
-        set: |a, f, v| typed(f, v, "shard index").map(|s| a.shard = Some(s)),
-    },
-    FlagSpec {
-        name: "--trace-spans",
-        metavar: "",
-        help: "(shard-worker) collect spans and embed them in the report",
-        set: |a, _, _| {
-            a.trace_spans = true;
-            Ok(())
-        },
     },
     FlagSpec {
         name: "--port",
@@ -539,59 +458,87 @@ fn ks(args: &Args) -> Vec<usize> {
     }
 }
 
-/// Reads and parses the `--history` dumps the adaptive cost model fits from,
-/// labelled by file stem (matching `repro trend` column headers).
-fn load_history(paths: &[String]) -> Result<Vec<(String, Vec<trend::TrendPoint>)>, String> {
-    paths
-        .iter()
-        .map(|path| {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            let points = trend::parse_dump(&text).map_err(|e| format!("{path}: {e}"))?;
-            let label = std::path::Path::new(path)
-                .file_stem()
-                .map_or_else(|| path.clone(), |s| s.to_string_lossy().into_owned());
-            Ok((label, points))
+/// Where a sweep's modular rows run.
+enum Engine {
+    /// In process, fresh solver state per row.
+    Fresh,
+    /// In process, on one persistent pool: rows of every size (and every
+    /// scenario sharing an IR signature) reuse solver sessions.
+    Pooled(CheckerPool),
+    /// Sharded over TCP `repro worker`s: the `--workers` addresses, or the
+    /// `--shards N` loopback children in `loopback` (halted at the end of
+    /// the sweep, killed when the engine drops early).
+    Sharded { shards: usize, workers: Vec<String>, loopback: Option<LoopbackWorkers> },
+}
+
+impl Engine {
+    /// The engine `args` ask for; unsharded sweeps run `pooled` or fresh.
+    fn new(args: &Args, pooled: bool) -> Result<Engine, String> {
+        if !args.workers.is_empty() {
+            // four shards per worker by default, so the steal scheduler has
+            // batches to move
+            let shards = if args.shards > 1 { args.shards } else { 4 * args.workers.len() };
+            return Ok(Engine::Sharded { shards, workers: args.workers.clone(), loopback: None });
+        }
+        if args.shards > 1 {
+            let exe = std::env::current_exe().map_err(|e| format!("own executable path: {e}"))?;
+            // a file scenario is not in the workers' seed registry: they
+            // compile the same file before resolving the benchmark
+            let file_args: Vec<&str> =
+                args.scenario_file.iter().flat_map(|path| ["--scenario-file", path]).collect();
+            let loopback = LoopbackWorkers::spawn(&exe, args.shards, &file_args)?;
+            let workers = loopback.addrs().to_vec();
+            return Ok(Engine::Sharded { shards: args.shards, workers, loopback: Some(loopback) });
+        }
+        Ok(if pooled {
+            Engine::Pooled(CheckerPool::with_default_parallelism(CheckOptions {
+                timeout: Some(args.timeout),
+                threads: args.threads,
+                ..CheckOptions::default()
+            }))
+        } else {
+            Engine::Fresh
         })
-        .collect()
-}
+    }
 
-/// The shard plan a sweep row uses: striped, or LPT packing over a cost
-/// model fit from the `--history` dumps for this benchmark.
-fn plan_choice(
-    kind: BenchKind,
-    args: &Args,
-    history: &[(String, Vec<trend::TrendPoint>)],
-) -> PlanChoice {
-    if args.plan == "adaptive" {
-        PlanChoice::Adaptive(trend::fit_cost_model(history, kind.name()))
-    } else {
-        PlanChoice::Striped
+    fn shards(&self) -> usize {
+        match self {
+            Engine::Sharded { shards, .. } => *shards,
+            Engine::Fresh | Engine::Pooled(_) => 1,
+        }
+    }
+
+    /// Ends the sweep: halts loopback workers, and `--workers` ones when
+    /// `--halt-workers` asks.
+    fn finish(self, args: &Args) {
+        let warnings = match self {
+            Engine::Sharded { loopback: Some(loopback), .. } => loopback.halt(),
+            Engine::Sharded { workers, .. } if args.halt_workers => halt_workers(&workers),
+            _ => Vec::new(),
+        };
+        for warning in warnings {
+            eprintln!("halt: {warning}");
+        }
     }
 }
 
-/// The per-row shard count: `--shards` when given, else four shards per
-/// worker in distributed mode so the steal scheduler has batches to move.
-fn effective_shards(args: &Args) -> usize {
-    if args.shards <= 1 && !args.workers.is_empty() {
-        4 * args.workers.len()
-    } else {
-        args.shards
-    }
-}
-
-fn sweep(
-    kind: BenchKind,
-    args: &Args,
-    mut pool: Option<&mut CheckerPool>,
-    history: &[(String, Vec<trend::TrendPoint>)],
-) -> Result<Vec<Row>, String> {
+fn sweep(kind: BenchKind, args: &Args, engine: &mut Engine) -> Result<Vec<Row>, String> {
     println!("\n=== Fig. {} — {} (Tp vs Ms) ===", kind.figure(), kind.name());
     println!(
         "{:>4} {:>6} {:>12} {:>12} {:>12} {:>12}",
         "k", "nodes", "Tp total", "Tp median", "Tp p99", "Ms"
     );
-    let options =
-        SweepOptions { timeout: args.timeout, run_monolithic: args.run_ms, threads: args.threads };
+    let threads = match engine {
+        // loopback workers share this host: without --threads each gets an
+        // equal share of the cores, so N workers do not oversubscribe the
+        // CPU N-fold and measure contention instead of sharding
+        Engine::Sharded { shards, loopback: Some(_), .. } => args.threads.or_else(|| {
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            Some((cores / *shards).max(1))
+        }),
+        _ => args.threads,
+    };
+    let options = SweepOptions { timeout: args.timeout, run_monolithic: args.run_ms, threads };
     let mut rows = Vec::new();
     // compiled (file) scenarios have one fixed topology: one row at their
     // native size, whatever the requested grid
@@ -600,33 +547,13 @@ fn sweep(
         None => ks(args),
     };
     for k in row_ks {
-        let row = if !args.workers.is_empty() {
-            if kind.scenario_file().is_some() {
-                return Err(format!(
-                    "{}: file scenarios cannot be dispatched to TCP workers (the remote \
-                     `repro worker` has no copy of the file); use --shards for local \
-                     subprocess sharding instead",
-                    kind.name()
-                ));
+        let row = match engine {
+            Engine::Sharded { shards, workers, .. } => {
+                run_row_distributed(kind, k, &options, *shards, workers, &DistOptions::default())
+                    .map_err(|e| format!("{} k={k}: {e}", kind.name()))?
             }
-            run_row_distributed(
-                kind,
-                k,
-                &options,
-                effective_shards(args),
-                &args.workers,
-                &plan_choice(kind, args, history),
-                &DistOptions::default(),
-            )
-            .map_err(|e| format!("{} k={k}: {e}", kind.name()))?
-        } else if args.shards > 1 {
-            let exe = std::env::current_exe().expect("own executable path");
-            run_row_sharded(kind, k, &options, args.shards, &exe, &plan_choice(kind, args, history))
-        } else if let Some(pool) = pool.as_deref_mut() {
-            // the persistent pool carries solver sessions across rows
-            run_row_pooled(kind, k, &options, pool)
-        } else {
-            run_row(kind, k, &options)
+            Engine::Pooled(pool) => run_row_pooled(kind, k, &options, pool),
+            Engine::Fresh => run_row(kind, k, &options),
         };
         println!(
             "{:>4} {:>6} {:>12} {:>12} {:>12} {:>12}",
@@ -639,9 +566,8 @@ fn sweep(
         );
         if let Some(balance) = &row.balance {
             println!(
-                "     [{} plan] shard imbalance {:.2} (max/mean wall), steal batches {}, \
+                "     shard imbalance {:.2} (max/mean wall), steal batches {}, \
                  stolen shards {}, reassigned {}",
-                balance.plan,
                 balance.imbalance(),
                 balance.steal_batches,
                 balance.stolen_shards,
@@ -687,8 +613,7 @@ fn row_json(kind: BenchKind, row: &Row, shards: usize) -> timepiece_sched::Json 
             ("hit_rate", Json::Num(t.hit_rate())),
         ])
     });
-    // per-class wall-time rollups: the samples `repro trend` fits adaptive
-    // cost models from
+    // per-class wall-time rollups: where the row's check time went
     let classes = Json::Arr(
         row.classes
             .iter()
@@ -705,7 +630,6 @@ fn row_json(kind: BenchKind, row: &Row, shards: usize) -> timepiece_sched::Json 
     // max/mean ratio, and the steal/reassignment counters
     let balance = row.balance.as_ref().map_or(Json::Null, |b| {
         Json::obj([
-            ("plan", Json::str(b.plan.as_str())),
             ("shard_secs", Json::Arr(b.shard_secs.iter().map(|&s| Json::Num(s)).collect())),
             ("imbalance", Json::Num(b.imbalance())),
             ("steal_batches", Json::from(b.steal_batches)),
@@ -732,8 +656,10 @@ fn fig1(args: &Args) -> Result<(), String> {
     // policy is the evaluation's benchmark with exactly that shape.
     println!("=== Fig. 1 — modular vs monolithic verification time ===");
     println!("(SpHijack: fattree connectivity with symbolic external announcements)");
-    let history = load_history(&args.history)?;
-    sweep(BenchKind::parse("SpHijack").expect("registered"), args, None, &history).map(|_| ())
+    let mut engine = Engine::new(args, false)?;
+    sweep(BenchKind::parse("SpHijack").expect("registered"), args, &mut engine)?;
+    engine.finish(args);
+    Ok(())
 }
 
 fn fig3() {
@@ -959,26 +885,18 @@ fn fig14(args: &Args) -> Result<(), String> {
         Some(kind) if args.bench == "all" => vec![kind],
         _ => select_kinds(&args.bench)?,
     };
-    let history = load_history(&args.history)?;
     if args.trace.is_some() {
         timepiece_trace::enable();
     }
-    // one persistent checker pool for the whole sweep: rows of every size
-    // (and every scenario sharing an IR signature) reuse solver sessions
-    let mut pool = (args.shards <= 1 && args.workers.is_empty()).then(|| {
-        CheckerPool::with_default_parallelism(CheckOptions {
-            timeout: Some(args.timeout),
-            threads: args.threads,
-            ..CheckOptions::default()
-        })
-    });
-    let shards = effective_shards(args);
+    let mut engine = Engine::new(args, true)?;
+    let shards = engine.shards();
     let mut rows = Vec::new();
     for kind in kinds {
-        for row in sweep(kind, args, pool.as_mut(), &history)? {
+        for row in sweep(kind, args, &mut engine)? {
             rows.push(row_json(kind, &row, shards));
         }
     }
+    engine.finish(args);
     if let Some(path) = &args.json {
         use timepiece_sched::Json;
         let doc = Json::obj([
@@ -991,11 +909,6 @@ fn fig14(args: &Args) -> Result<(), String> {
     }
     if let Some(path) = &args.trace {
         write_trace(path);
-    }
-    if args.halt_workers && !args.workers.is_empty() {
-        for warning in halt_workers(&args.workers) {
-            eprintln!("halt: {warning}");
-        }
     }
     Ok(())
 }
@@ -1290,68 +1203,19 @@ fn soak_cmd(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The (internal) shard-worker entrypoint: check one shard of one instance
-/// and print the JSON report on stdout.
-fn shard_worker(args: &Args) -> Result<(), String> {
-    if args.trace_spans {
-        // the coordinator asked for spans: collect them and let `run_shard`
-        // embed the drained trace in the report
-        timepiece_trace::enable();
-    }
-    // a coordinator sharding a file scenario ships the path; recompile it
-    // into this process's registry before resolving --bench
-    load_scenario_file(args)?;
-    let bench = BenchKind::parse(&args.bench)
-        .ok_or_else(|| format!("--bench: {}", unknown_bench(&args.bench)))?;
-    let k = args.k.ok_or("shard-worker requires --k")?;
-    let shard = args.shard.ok_or("shard-worker requires --shard")?;
-    if args.shards <= shard {
-        return Err(format!("--shard {shard} out of range for --shards {}", args.shards));
-    }
-    let options =
-        SweepOptions { timeout: args.timeout, run_monolithic: false, threads: args.threads };
-    let report = match &args.nodes {
-        // explicit node list from the coordinator: check exactly these
-        // nodes and record the plan spec that produced them, so the report
-        // replays deterministically
-        Some(list) => {
-            let inst = fattree_instance(bench, k);
-            let topology = inst.network.topology();
-            let mut nodes = Vec::new();
-            for name in list.split(',').map(str::trim).filter(|n| !n.is_empty()) {
-                let v = topology
-                    .node_by_name(name)
-                    .ok_or_else(|| format!("--nodes: unknown node {name:?}"))?;
-                nodes.push(v);
-            }
-            let spec = match &args.plan_spec {
-                Some(raw) => {
-                    let value = timepiece_sched::Json::parse(raw)
-                        .map_err(|e| format!("--plan-spec: {e}"))?;
-                    PlanSpec::from_json(&value).map_err(|e| format!("--plan-spec: {e}"))?
-                }
-                None => PlanSpec::striped(),
-            };
-            run_shard_nodes(bench, k, shard, args.shards, spec, &nodes, &options)
-        }
-        // legacy protocol: recompute the striped plan locally
-        None => run_shard(bench, k, shard, args.shards, &options),
-    };
-    println!("{}", report.to_json());
-    Ok(())
-}
-
 /// The `repro worker` subcommand: serve shard checks over TCP until a
 /// coordinator sends `halt`. `--die-after N` arms the documented dead-worker
 /// fault: the process drops the connection after N checks and exits nonzero,
 /// so the reassignment drill in CI looks like a crashed host.
+/// `--scenario-file` registers a file scenario coordinators may then shard.
 fn worker_cmd(args: &Args) -> Result<(), String> {
+    load_scenario_file(args)?;
     let listen = args.listen.clone().unwrap_or_else(|| "127.0.0.1:7272".to_owned());
     let listener =
         std::net::TcpListener::bind(&listen).map_err(|e| format!("binding {listen}: {e}"))?;
     let addr = listener.local_addr().map_err(|e| format!("local address: {e}"))?;
-    // scripts wait for this line before pointing a coordinator here
-    println!("repro worker listening on {addr}");
+    // scripts and loopback coordinators wait for this line
+    println!("{LISTENING} {addr}");
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     let options = WorkerOptions { max_sessions: None, die_after: args.die_after };
@@ -1362,49 +1226,6 @@ fn worker_cmd(args: &Args) -> Result<(), String> {
         }
         WorkerExit::Halted | WorkerExit::SessionLimit => Ok(()),
     }
-}
-
-/// The `repro plan` subcommand: print the striped and adaptive shard plans
-/// for one instance — per-shard node lists, predicted per-shard seconds and
-/// the predicted max/mean imbalance — without checking anything.
-fn plan_cmd(args: &Args) -> Result<(), String> {
-    let kind = daemon_bench(args)?;
-    let k = args.k.unwrap_or(4);
-    let shards = if args.shards > 1 { args.shards } else { 4 };
-    let history = load_history(&args.history)?;
-    let model = trend::fit_cost_model(&history, kind.name());
-    let inst = fattree_instance(kind, k);
-    let topology = inst.network.topology();
-    println!(
-        "=== shard plans — {} k={k}: {} nodes over {shards} shards ===",
-        kind.name(),
-        topology.node_count()
-    );
-    if model.is_uniform() {
-        println!("cost model: uniform (no class samples in --history; LPT balances sizes)");
-    } else {
-        let costs: Vec<String> =
-            model.classes().map(|(class, secs)| format!("{class}={secs:.3}s/node")).collect();
-        println!("cost model: {} (fit from: {})", costs.join(", "), model.sources().join(", "));
-    }
-    for (label, choice) in
-        [("striped", PlanChoice::Striped), ("adaptive", PlanChoice::Adaptive(model.clone()))]
-    {
-        let (plan, _spec, predicted) = plan_row(topology, shards, &choice);
-        println!(
-            "\n--- {label} plan (predicted imbalance {:.2}) ---",
-            timepiece_sched::cost::imbalance(&predicted)
-        );
-        for (shard, secs) in predicted.iter().enumerate() {
-            let names: Vec<&str> = plan.nodes_of(shard).iter().map(|&v| topology.name(v)).collect();
-            println!(
-                "  shard {shard}: {} nodes, predicted {secs:.3}s: {}",
-                names.len(),
-                names.join(", ")
-            );
-        }
-    }
-    Ok(())
 }
 
 /// One inference run: build the property-only spec, infer, verify, and
@@ -1681,9 +1502,7 @@ fn main() {
         "serve" => serve_cmd(&args),
         "ask" => ask_cmd(&args),
         "soak" => soak_cmd(&args),
-        "plan" => plan_cmd(&args),
         "worker" => worker_cmd(&args),
-        "shard-worker" => shard_worker(&args),
         "fuzz" => fuzz_cmd(&args),
         "check" => check_cmd(&args),
         "export" => export_cmd(&args),

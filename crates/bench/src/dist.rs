@@ -1,12 +1,12 @@
-//! Distributed sharded verification over TCP.
+//! Sharded verification over TCP: the one multi-process runtime.
 //!
-//! `repro fig14 --shards N` forks workers on one box; this module is the
-//! next scaling rung: a **coordinator** drives `repro worker --listen`
-//! processes on other hosts over TCP, reusing the NDJSON framing the rest
-//! of the pipeline already speaks ([`timepiece_trace::json`]) and the
-//! [`ShardReport`] protocol of the forked path — the coordinator cannot
-//! tell a remote worker's report from a forked one, so the merge,
-//! coverage-proof and replay machinery is shared.
+//! A **coordinator** drives `repro worker --listen` processes over TCP,
+//! speaking the NDJSON framing the rest of the pipeline already uses
+//! ([`timepiece_trace::json`]) and merging their [`ShardReport`]s through
+//! the coverage-proving [`merge_reports`]. The workers are either remote
+//! (`repro fig14 --workers host:port,...`) or [`LoopbackWorkers`]: children
+//! `repro fig14 --shards N` spawns on `127.0.0.1` once per sweep. Both run
+//! the same code; only where the processes live differs.
 //!
 //! # Wire protocol
 //!
@@ -14,9 +14,8 @@
 //!
 //! ```text
 //! C → W   {"type":"hello", "version":1, "bench":…, "k":…, "shards":N,
-//!          "plan":{…}, "timeout_millis":…, "threads":…, "trace":…,
-//!          "sabotage":[…]}
-//! W → C   {"type":"ready", "version":1}
+//!          "timeout_millis":…, "threads":…, "trace":…, "sabotage":[…]}
+//! W → C   {"type":"ready", "version":1, "threads":T}   (T: threads it runs)
 //! C → W   {"type":"check", "shard":i, "nodes":["core-0",…]}
 //! W → C   {"type":"progress", "shard":i}        (heartbeat, ~2.5 Hz)
 //! W → C   {"type":"report", "report":{…}}       (a ShardReport)
@@ -43,8 +42,10 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::BufReader;
+use std::io::{BufRead, BufReader};
 use std::net::{TcpListener, TcpStream};
+use std::path::Path;
+use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -54,16 +55,14 @@ use timepiece_core::stats::TimingStats;
 use timepiece_core::sweep::CheckerPool;
 use timepiece_core::Temporal;
 use timepiece_sched::json::{read_line_value, write_line_value, MAX_LINE_BYTES};
-use timepiece_sched::{CancelToken, Json};
+use timepiece_sched::{CancelToken, Json, ShardPlan};
 use timepiece_trace::Phase;
 
 use crate::runner::{
     class_samples, fattree_instance, monolithic_result, BenchKind, EngineResult, Row, RowBalance,
     SweepOptions,
 };
-use crate::shard::{
-    merge_reports, plan_row, MergeError, PlanChoice, PlanSpec, ShardReport, PROTOCOL_VERSION,
-};
+use crate::shard::{merge_reports, MergeError, ShardReport, PROTOCOL_VERSION};
 
 /// How often a checking worker emits `progress` heartbeats.
 const HEARTBEAT: Duration = Duration::from_millis(400);
@@ -71,6 +70,14 @@ const HEARTBEAT: Duration = Duration::from_millis(400);
 /// How long an idle dispatcher naps before re-polling the queues for
 /// orphans when other dispatchers still have shards in flight.
 const IDLE_POLL: Duration = Duration::from_millis(25);
+
+/// The line `repro worker` prints on stdout once it accepts connections,
+/// followed by the bound address. Scripts and [`LoopbackWorkers`] wait for
+/// it before pointing a coordinator at the worker.
+pub const LISTENING: &str = "repro worker listening on";
+
+/// How long [`LoopbackWorkers::halt`] waits for a halted child to exit.
+const HALT_GRACE: Duration = Duration::from_secs(10);
 
 /// Coordinator-side options for one distributed row.
 #[derive(Debug, Clone)]
@@ -285,7 +292,6 @@ impl Peer {
         kind: BenchKind,
         k: usize,
         shards: usize,
-        spec: &PlanSpec,
         options: &SweepOptions,
         dist: &DistOptions,
     ) -> Result<(), String> {
@@ -296,7 +302,6 @@ impl Peer {
                 ("bench", Json::str(kind.name())),
                 ("k", Json::from(k)),
                 ("shards", Json::from(shards)),
-                ("plan", spec.to_json()),
                 ("timeout_millis", Json::from(options.timeout.as_millis() as usize)),
                 ("threads", Json::from(options.threads.unwrap_or(0))),
                 ("trace", Json::from(timepiece_trace::enabled())),
@@ -365,11 +370,12 @@ impl Peer {
 /// Runs one sweep row across remote workers.
 ///
 /// Connects to every address in `workers`, hands out the shards of the
-/// plan chosen by `choice`, rebalances by batched stealing, survives
+/// class-striped [`ShardPlan`], rebalances by batched stealing, survives
 /// worker deaths by reassigning their shards, and merges the reports into
-/// a [`Row`] through the same coverage-proving [`merge_reports`] the
-/// forked path uses. Unreachable workers are warnings (printed to stderr)
-/// as long as at least one connects.
+/// a [`Row`] through the coverage-proving [`merge_reports`]. Unreachable
+/// workers are warnings (printed to stderr) as long as at least one
+/// connects. Every worker trace is ingested as process `shard{i}`, after
+/// the shard it covers.
 ///
 /// # Errors
 ///
@@ -382,7 +388,6 @@ pub fn run_row_distributed(
     options: &SweepOptions,
     shards: usize,
     workers: &[String],
-    choice: &PlanChoice,
     dist: &DistOptions,
 ) -> Result<Row, DistError> {
     assert!(shards >= 1, "need at least one shard");
@@ -390,7 +395,7 @@ pub fn run_row_distributed(
     let arena_before = timepiece_expr::arena::stats();
     let inst = fattree_instance(kind, k);
     let topology = inst.network.topology();
-    let (plan, spec, _predicted) = plan_row(topology, shards, choice);
+    let plan = ShardPlan::by_class(topology.nodes(), shards, |v| topology.node_class(v).to_owned());
 
     let mut peers: Vec<Peer> = Vec::new();
     let mut connect_errors: Vec<String> = Vec::new();
@@ -416,10 +421,9 @@ pub fn run_row_distributed(
             let queues = &queues;
             let reports = &reports;
             let fatal = &fatal;
-            let spec = &spec;
             let plan = &plan;
             scope.spawn(move || {
-                if let Err(e) = peer.hello(kind, k, shards, spec, options, dist) {
+                if let Err(e) = peer.hello(kind, k, shards, options, dist) {
                     // a worker that cannot even handshake never takes a
                     // shard; its seeded queue becomes orphans
                     let mut q = queues.lock().unwrap();
@@ -450,7 +454,7 @@ pub fn run_row_distributed(
                     match peer.check(shard, &nodes) {
                         Ok(mut report) => {
                             if let Some(trace) = report.trace.take() {
-                                timepiece_trace::ingest(format!("{}#s{shard}", peer.addr), trace);
+                                timepiece_trace::ingest(format!("shard{shard}"), trace);
                             }
                             reports.lock().unwrap().push((peer.addr.clone(), report));
                             queues.lock().unwrap().finished();
@@ -476,7 +480,7 @@ pub fn run_row_distributed(
 
     let reports = reports.into_inner().unwrap();
     let queues = queues.into_inner().unwrap();
-    let merged = merge_reports(kind, k, shards, &spec.kind, topology, &reports)?;
+    let merged = merge_reports(kind, k, shards, topology, &reports)?;
     let durations: Vec<Duration> =
         merged.durations.iter().map(|&(_, secs)| Duration::from_secs_f64(secs)).collect();
     let stats = TimingStats::from_durations(&durations);
@@ -494,7 +498,6 @@ pub fn run_row_distributed(
         terms: None,
         classes: class_samples(topology, &merged.durations),
         balance: Some(RowBalance {
-            plan: spec.kind.clone(),
             shard_secs: merged.shard_secs,
             steal_batches: queues.steal_batches,
             stolen_shards: queues.stolen_shards,
@@ -520,6 +523,93 @@ pub fn halt_workers(workers: &[String]) -> Vec<String> {
         }
     }
     warnings
+}
+
+/// `repro worker` children listening on loopback: the runtime of
+/// `repro fig14 --shards N` without `--workers`. Spawned once per sweep;
+/// every row of the sweep runs on them through [`run_row_distributed`].
+///
+/// Dropping the set kills and reaps every child that [`LoopbackWorkers::halt`]
+/// has not already reaped, so a coordinator that panics or bails out
+/// mid-sweep leaves no worker behind.
+#[derive(Debug)]
+pub struct LoopbackWorkers {
+    children: Vec<Child>,
+    addrs: Vec<String>,
+}
+
+impl LoopbackWorkers {
+    /// Spawns `count` children `worker_exe worker --listen 127.0.0.1:0
+    /// [extra_args]` and waits until each prints its [`LISTENING`] line.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first child that could not be spawned or exited
+    /// before listening (its own stderr says why). Children already started
+    /// are killed.
+    pub fn spawn(worker_exe: &Path, count: usize, extra_args: &[&str]) -> Result<Self, String> {
+        let mut workers = LoopbackWorkers { children: Vec::new(), addrs: Vec::new() };
+        for _ in 0..count {
+            let child = Command::new(worker_exe)
+                .args(["worker", "--listen", "127.0.0.1:0"])
+                .args(extra_args)
+                .stdout(Stdio::piped())
+                .spawn()
+                .map_err(|e| format!("spawning {}: {e}", worker_exe.display()))?;
+            workers.children.push(child);
+        }
+        for child in &mut workers.children {
+            // the pipe stays open (owned by `child`) for the child's
+            // lifetime: a closed stdout would turn its next print into a
+            // broken-pipe panic
+            let stdout = child.stdout.as_mut().expect("stdout is piped");
+            let mut line = String::new();
+            BufReader::new(stdout).read_line(&mut line).map_err(|e| format!("worker: {e}"))?;
+            let addr = line.trim().strip_prefix(LISTENING).map(str::trim).ok_or_else(|| {
+                format!("loopback worker exited before listening (printed {line:?})")
+            })?;
+            workers.addrs.push(addr.to_owned());
+        }
+        Ok(workers)
+    }
+
+    /// The workers' `127.0.0.1:port` addresses.
+    pub fn addrs(&self) -> &[String] {
+        &self.addrs
+    }
+
+    /// Sends every worker `halt` and waits for it to exit. Returns one
+    /// warning per worker that could not be reached, exited unsuccessfully,
+    /// or did not exit in time (that one is killed when the set drops).
+    pub fn halt(mut self) -> Vec<String> {
+        let mut warnings = halt_workers(&self.addrs);
+        let deadline = Instant::now() + HALT_GRACE;
+        for (child, addr) in self.children.iter_mut().zip(&self.addrs) {
+            let exit = loop {
+                match child.try_wait() {
+                    Ok(None) if Instant::now() < deadline => std::thread::sleep(IDLE_POLL),
+                    exit => break exit,
+                }
+            };
+            match exit {
+                Ok(Some(status)) if status.success() => {}
+                Ok(Some(status)) => warnings.push(format!("{addr}: worker exited {status}")),
+                Ok(None) => warnings.push(format!("{addr}: worker ignored halt; killing it")),
+                Err(e) => warnings.push(format!("{addr}: {e}")),
+            }
+        }
+        warnings
+    }
+}
+
+impl Drop for LoopbackWorkers {
+    fn drop(&mut self) {
+        for child in &mut self.children {
+            // a no-op for children `halt` already reaped
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
 }
 
 enum SessionEnd {
@@ -607,27 +697,29 @@ fn serve_session(
     }
     let bench = hello.get("bench").and_then(Json::as_str).unwrap_or("");
     let Some(kind) = BenchKind::parse(bench) else {
-        return Err(reject(&mut writer, format!("unknown benchmark {bench:?}")));
+        return Err(reject(
+            &mut writer,
+            format!(
+                "unknown benchmark {bench:?} (a file scenario needs the worker started with \
+                 --scenario-file)"
+            ),
+        ));
     };
     let (Some(k), Some(shards)) =
         (hello.get("k").and_then(Json::as_usize), hello.get("shards").and_then(Json::as_usize))
     else {
         return Err(reject(&mut writer, "hello frame missing k/shards".to_owned()));
     };
-    let spec = match hello.get("plan") {
-        None => PlanSpec::striped(),
-        Some(v) => match PlanSpec::from_json(v) {
-            Ok(spec) => spec,
-            Err(e) => return Err(reject(&mut writer, e.to_string())),
-        },
-    };
     let timeout = hello
         .get("timeout_millis")
         .and_then(Json::as_usize)
         .map(|ms| Duration::from_millis(ms as u64));
+    // the pool spawns its threads eagerly, so a coordinator's request is
+    // capped at this host's cores (0 or absent: all of them)
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let threads = match hello.get("threads").and_then(Json::as_usize) {
-        Some(0) | None => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        Some(n) => n,
+        Some(0) | None => cores,
+        Some(n) => n.min(cores),
     };
     if hello.get("trace").and_then(Json::as_bool).unwrap_or(false) {
         timepiece_trace::enable();
@@ -650,7 +742,13 @@ fn serve_session(
         CheckOptions { timeout, threads: Some(threads), ..CheckOptions::default() },
     );
 
-    write_line_value(&mut writer, &frame("ready", [("version", Json::from(PROTOCOL_VERSION))]))?;
+    write_line_value(
+        &mut writer,
+        &frame(
+            "ready",
+            [("version", Json::from(PROTOCOL_VERSION)), ("threads", Json::from(threads))],
+        ),
+    )?;
 
     loop {
         let value = recv(&mut reader)?;
@@ -731,16 +829,8 @@ fn serve_session(
                     Ok(report) => report,
                     Err(e) => return Err(reject(&mut writer, format!("check failed: {e}"))),
                 };
-                let mut shard_report = ShardReport::from_check(
-                    kind,
-                    k,
-                    shard,
-                    shards,
-                    spec.clone(),
-                    topology,
-                    &nodes,
-                    &report,
-                );
+                let mut shard_report =
+                    ShardReport::from_check(kind, k, shard, shards, topology, &nodes, &report);
                 if timepiece_trace::enabled() {
                     shard_report.trace = Some(timepiece_trace::take());
                 }
@@ -775,20 +865,12 @@ mod tests {
         let (addr, handle) = spawn_worker(WorkerOptions::default());
         let workers = vec![addr];
         let kind = BenchKind::parse("SpReach").unwrap();
-        let row = run_row_distributed(
-            kind,
-            4,
-            &sweep_options(),
-            3,
-            &workers,
-            &PlanChoice::Striped,
-            &DistOptions::default(),
-        )
-        .expect("distributed row");
+        let row =
+            run_row_distributed(kind, 4, &sweep_options(), 3, &workers, &DistOptions::default())
+                .expect("distributed row");
         assert!(matches!(row.tp, EngineResult::Verified(_)), "{row:?}");
         assert_eq!(row.nodes, 20);
         let balance = row.balance.expect("distributed rows carry balance");
-        assert_eq!(balance.plan, "striped");
         assert_eq!(balance.shard_secs.len(), 3);
         assert!(balance.shard_secs.iter().all(|&s| s > 0.0), "{balance:?}");
         assert_eq!(balance.reassigned, 0);
@@ -799,9 +881,11 @@ mod tests {
 
     #[test]
     fn dead_worker_shards_are_reassigned_and_the_row_completes() {
-        // worker A dies after one check; worker B finishes the row
+        // worker A dies on its first check; worker B finishes the row. (A
+        // later death races B's stealing: B can take A's second shard
+        // before A asks for it, and then A never dies.)
         let (dying, dying_handle) =
-            spawn_worker(WorkerOptions { die_after: Some(1), ..WorkerOptions::default() });
+            spawn_worker(WorkerOptions { die_after: Some(0), ..WorkerOptions::default() });
         let (survivor, survivor_handle) = spawn_worker(WorkerOptions::default());
         let workers = vec![dying.clone(), survivor.clone()];
         let kind = BenchKind::parse("SpReach").unwrap();
@@ -811,7 +895,6 @@ mod tests {
             &sweep_options(),
             4,
             &workers,
-            &PlanChoice::Striped,
             &DistOptions { liveness: Duration::from_secs(2), ..DistOptions::default() },
         )
         .expect("row completes despite the death");
@@ -823,6 +906,58 @@ mod tests {
         assert_eq!(dying_handle.join().unwrap(), WorkerExit::Died);
         assert!(halt_workers(&[survivor]).is_empty());
         assert_eq!(survivor_handle.join().unwrap(), WorkerExit::Halted);
+    }
+
+    #[test]
+    fn hello_thread_requests_are_capped_at_the_cores() {
+        // a hello may ask for any thread count; the worker builds its pool
+        // with at most one thread per core and says so in `ready`
+        let (addr, handle) = spawn_worker(WorkerOptions::default());
+        let mut peer = Peer::connect(&addr, Duration::from_secs(30)).expect("connect");
+        let hello = |threads: usize| {
+            frame(
+                "hello",
+                [
+                    ("version", Json::from(PROTOCOL_VERSION)),
+                    ("bench", Json::str("SpReach")),
+                    ("k", Json::from(4usize)),
+                    ("shards", Json::from(1usize)),
+                    ("threads", Json::from(threads)),
+                ],
+            )
+        };
+        peer.send(&hello(1_000_000)).unwrap();
+        let ready = peer.recv().unwrap();
+        assert_eq!(frame_type(&ready), "ready", "{ready}");
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = ready.get("threads").and_then(Json::as_usize).expect("ready echoes threads");
+        assert!((1..=cores).contains(&threads), "{ready}");
+        peer.send(&frame("done", [])).unwrap();
+        assert!(halt_workers(&[addr]).is_empty());
+        assert_eq!(handle.join().unwrap(), WorkerExit::Halted);
+    }
+
+    #[test]
+    fn a_deeply_nested_frame_costs_one_session_not_the_worker() {
+        use std::io::{Read, Write};
+        let (addr, handle) = spawn_worker(WorkerOptions::default());
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        stream.write_all(format!("{}\n", "[".repeat(200_000)).as_bytes()).unwrap();
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).expect("the worker closes the session");
+        assert!(rest.is_empty(), "no frame answers a hello that never parsed");
+        let row = run_row_distributed(
+            BenchKind::parse("SpReach").unwrap(),
+            4,
+            &sweep_options(),
+            2,
+            std::slice::from_ref(&addr),
+            &DistOptions::default(),
+        )
+        .expect("the worker still serves rows");
+        assert!(matches!(row.tp, EngineResult::Verified(_)), "{row:?}");
+        assert!(halt_workers(&[addr]).is_empty());
+        assert_eq!(handle.join().unwrap(), WorkerExit::Halted);
     }
 
     #[test]
@@ -838,7 +973,6 @@ mod tests {
             &sweep_options(),
             2,
             &[format!("127.0.0.1:{port}")],
-            &PlanChoice::Striped,
             &DistOptions::default(),
         )
         .unwrap_err();

@@ -469,8 +469,8 @@ pub struct Row {
     /// The modular engine's compiled-term cache traffic for this row
     /// (None for sharded rows, whose encoders live in worker processes).
     pub terms: Option<TermCacheStats>,
-    /// Measured per-class check cost for this row — the samples future
-    /// sweeps' adaptive shard plans are fit from (via `repro trend`).
+    /// Measured per-class check cost for this row (where a sweep's time
+    /// goes: core / aggregation / edge).
     pub classes: Vec<ClassSample>,
     /// Shard balance accounting, for rows that ran sharded or distributed
     /// (None for in-process rows: there are no shards to balance).
@@ -490,17 +490,6 @@ pub struct ClassSample {
     pub nodes: usize,
     /// Their summed check seconds.
     pub total_secs: f64,
-}
-
-impl ClassSample {
-    /// Mean seconds per node of this class.
-    pub fn mean_secs(&self) -> f64 {
-        if self.nodes == 0 {
-            0.0
-        } else {
-            self.total_secs / self.nodes as f64
-        }
-    }
 }
 
 /// Groups per-node check durations (by node *name*) into per-class cost
@@ -531,12 +520,9 @@ pub fn class_samples(topology: &Topology, durations: &[(String, f64)]) -> Vec<Cl
 /// scheduler had to move it around.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RowBalance {
-    /// Which planner produced the shard plan (`striped` / `adaptive`).
-    pub plan: String,
     /// Measured wall seconds per shard index.
     pub shard_secs: Vec<f64>,
-    /// Cross-worker steal batches the coordinator executed (0 for forked
-    /// rows: every fork owns exactly one shard).
+    /// Cross-worker steal batches the coordinator executed.
     pub steal_batches: usize,
     /// Whole shards migrated by those batches.
     pub stolen_shards: usize,
@@ -547,7 +533,20 @@ pub struct RowBalance {
 impl RowBalance {
     /// `max / mean` over the measured shard wall seconds (1.0 is perfect).
     pub fn imbalance(&self) -> f64 {
-        timepiece_sched::cost::imbalance(&self.shard_secs)
+        imbalance(&self.shard_secs)
+    }
+}
+
+/// `max / mean` of per-shard seconds: 1.0 is a perfect split, `n` means one
+/// of `n` shards did all the work. Degenerate inputs (no shards, no work)
+/// count as balanced.
+fn imbalance(per_shard: &[f64]) -> f64 {
+    let max = per_shard.iter().copied().fold(0.0_f64, f64::max);
+    let mean = per_shard.iter().sum::<f64>() / per_shard.len().max(1) as f64;
+    if mean <= 0.0 {
+        1.0
+    } else {
+        max / mean
     }
 }
 
@@ -671,6 +670,16 @@ pub(crate) fn monolithic_result(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn imbalance_handles_edge_cases() {
+        assert_eq!(imbalance(&[]), 1.0);
+        assert_eq!(imbalance(&[0.0, 0.0]), 1.0);
+        assert_eq!(imbalance(&[2.0, 2.0]), 1.0);
+        assert_eq!(imbalance(&[3.0, 1.0]), 1.5);
+        // an idle shard is imbalance, not a smaller denominator
+        assert_eq!(imbalance(&[2.0, 0.0]), 2.0);
+    }
 
     #[test]
     fn kinds_roundtrip_names() {

@@ -1,167 +1,33 @@
-//! Multi-process sharding of the fattree benchmarks.
+//! Shard reports and the coverage-proving merge.
 //!
 //! The `Ap*` (symbolic-destination) sweeps are the expensive rows of
 //! Fig. 14, and their per-node conditions are independent — so beyond the
 //! in-process work-stealing pool, whole *shards* of the node set can move to
-//! separate worker processes (each with its own Z3 heap and cache locality)
-//! or, via [`crate::dist`], to worker processes on other hosts.
+//! separate worker processes, each with its own Z3 heap. [`crate::dist`] is
+//! that runtime: `repro worker` processes on this host (`fig14 --shards N`
+//! starts them on loopback) or on others (`fig14 --workers`).
 //!
-//! The protocol:
-//!
-//! 1. the coordinator picks `(bench, k, shards)`, computes a [`ShardPlan`]
-//!    — striped by class, or cost-adaptive when a fitted
-//!    [`timepiece_sched::CostModel`] is available — and spawns one
-//!    `repro shard-worker` subprocess per shard with its *explicit* node
-//!    list and a [`PlanSpec`] describing how the plan was made;
-//! 2. each worker rebuilds the *same* instance by registry name, checks
-//!    exactly the nodes it was handed via `ModularChecker::check_nodes`,
-//!    and prints one JSON [`ShardReport`] on stdout — the report records
-//!    the plan and the assigned node list, so any shard of any run can be
-//!    replayed deterministically from its report alone;
-//! 3. the coordinator ingests the reports through [`merge_reports`], which
-//!    *proves coverage* — the assigned sets must partition the full node
-//!    set, every assigned node must carry a check duration, and duplicate
-//!    or mismatched reports produce a typed [`MergeError`] naming the
-//!    offending worker — and merges them into one sweep [`Row`].
-//!
-//! A mismatched plan therefore shows up as a hard, attributed ingestion
-//! error, never as a silently skipped node.
+//! Every shard comes back as one [`ShardReport`]: the nodes the worker was
+//! assigned, a check duration per node, and its failures. The coordinator
+//! ingests the reports through [`merge_reports`], which *proves coverage* —
+//! the assigned sets must partition the full node set, every assigned node
+//! must carry a check duration, and duplicate or mismatched reports produce
+//! a typed [`MergeError`] naming the offending worker — before they become
+//! one sweep row. A broken shard therefore shows up as a hard, attributed
+//! ingestion error, never as a silently skipped node.
 
 use std::fmt;
-use std::path::Path;
-use std::process::{Command, Stdio};
-use std::time::{Duration, Instant};
 
-use timepiece_core::check::{CheckOptions, CheckReport, FailureReason, ModularChecker};
-use timepiece_core::stats::TimingStats;
-use timepiece_sched::cost::{cost_striped, imbalance, plan_adaptive, CostModel};
-use timepiece_sched::{Json, ShardPlan};
+use timepiece_core::check::{CheckReport, FailureReason};
+use timepiece_sched::Json;
 use timepiece_topology::{NodeId, Topology};
 
-use crate::runner::{
-    class_samples, fattree_instance, monolithic_result, BenchKind, EngineResult, Row, RowBalance,
-    SweepOptions,
-};
+use crate::runner::BenchKind;
 
-/// The version of the shard-report / distributed-worker protocol. Bumped on
-/// any incompatible change to the report shape or the wire frames; peers
-/// reject mismatches with a typed error instead of misparsing.
+/// The version of the shard-report / worker protocol. Bumped on any
+/// incompatible change to the report shape or the wire frames; peers reject
+/// mismatches with a typed error instead of misparsing.
 pub const PROTOCOL_VERSION: usize = 1;
-
-/// How a coordinator turned the node set into shards. Travels inside every
-/// [`ShardReport`] so a merged row records which planner produced it and a
-/// replay can attribute imbalance to the plan that caused it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanSpec {
-    /// `striped` (class round-robin) or `adaptive` (cost-model LPT).
-    pub kind: String,
-    /// The per-class costs the adaptive planner used (empty for striped
-    /// plans and for the uniform no-history fallback).
-    pub class_costs: Vec<(String, f64)>,
-    /// Labels of the trend dumps the cost model was fit on.
-    pub sources: Vec<String>,
-}
-
-impl PlanSpec {
-    /// The spec of a class-striped plan.
-    pub fn striped() -> PlanSpec {
-        PlanSpec { kind: "striped".to_owned(), class_costs: Vec::new(), sources: Vec::new() }
-    }
-
-    /// The spec of a cost-adaptive plan driven by `model`.
-    pub fn adaptive(model: &CostModel) -> PlanSpec {
-        PlanSpec {
-            kind: "adaptive".to_owned(),
-            class_costs: model.classes().map(|(c, s)| (c.to_owned(), s)).collect(),
-            sources: model.sources().to_vec(),
-        }
-    }
-
-    /// The spec as a JSON document (also the `--plan-spec` argument form).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("kind", Json::str(&self.kind)),
-            (
-                "class_costs",
-                Json::arr(
-                    self.class_costs
-                        .iter()
-                        .map(|(class, secs)| Json::arr([Json::str(class), Json::Num(*secs)])),
-                ),
-            ),
-            ("sources", Json::arr(self.sources.iter().map(Json::str))),
-        ])
-    }
-
-    /// Parses a spec back from its JSON form.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardProtocolError`] naming the first missing or mistyped field.
-    pub fn from_json(value: &Json) -> Result<PlanSpec, ShardProtocolError> {
-        let err = |what: &str| ShardProtocolError(format!("plan {what}"));
-        let kind = value.get("kind").and_then(Json::as_str).ok_or_else(|| err("kind"))?.to_owned();
-        let class_costs = value
-            .get("class_costs")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| err("class_costs"))?
-            .iter()
-            .map(|pair| match pair.as_arr() {
-                Some([class, secs]) => Ok((
-                    class.as_str().ok_or_else(|| err("class name"))?.to_owned(),
-                    secs.as_f64().ok_or_else(|| err("class cost"))?,
-                )),
-                _ => Err(err("class_costs entry")),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let sources = value
-            .get("sources")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| err("sources"))?
-            .iter()
-            .map(|s| s.as_str().map(str::to_owned).ok_or_else(|| err("sources entry")))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(PlanSpec { kind, class_costs, sources })
-    }
-}
-
-/// Which planner a sharded row should use.
-#[derive(Debug, Clone)]
-pub enum PlanChoice {
-    /// Class round-robin striping — the static baseline.
-    Striped,
-    /// Cost-model LPT bin packing (a uniform model balances sizes).
-    Adaptive(CostModel),
-}
-
-/// Computes the row's shard plan under `choice`, together with the spec
-/// recorded in every report and the planner's predicted per-shard seconds
-/// (uniform-cost predictions for striped plans).
-pub fn plan_row(
-    topology: &Topology,
-    shards: usize,
-    choice: &PlanChoice,
-) -> (ShardPlan, PlanSpec, Vec<f64>) {
-    let class = |v: NodeId| topology.node_class(v).to_owned();
-    match choice {
-        PlanChoice::Striped => {
-            let costed = cost_striped(topology.nodes(), shards, class, &CostModel::uniform());
-            (costed.plan, PlanSpec::striped(), costed.predicted)
-        }
-        PlanChoice::Adaptive(model) => {
-            let costed = plan_adaptive(topology.nodes(), shards, class, model);
-            (costed.plan, PlanSpec::adaptive(model), costed.predicted)
-        }
-    }
-}
-
-/// The deterministic striped plan every participant can recompute: nodes
-/// grouped by their stable class stem and striped round-robin across
-/// shards. This is the legacy (pre-adaptive) plan, still used by workers
-/// invoked without an explicit node list.
-pub fn plan(topology: &Topology, shards: usize) -> ShardPlan {
-    ShardPlan::by_class(topology.nodes(), shards, |v| topology.node_class(v).to_owned())
-}
 
 /// One failure, reduced to what travels between processes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -187,8 +53,6 @@ pub struct ShardReport {
     pub shard: usize,
     /// Total shard count of the plan.
     pub shards: usize,
-    /// How the plan that produced this shard was made.
-    pub plan: PlanSpec,
     /// Names of the nodes the plan assigned to this shard.
     pub assigned: Vec<String>,
     /// Per-node check durations in seconds, one per assigned node.
@@ -197,9 +61,9 @@ pub struct ShardReport {
     pub failures: Vec<ShardFailure>,
     /// The worker's wall-clock time for its shard.
     pub wall_secs: f64,
-    /// The worker's span trace, when the coordinator asked for one
-    /// (`--trace-spans`); the coordinator ingests it as its own
-    /// pid-tagged process track.
+    /// The worker's span trace, when the coordinator asked for one (the
+    /// `hello` frame's `trace` flag); the coordinator ingests it as process
+    /// `shard{i}`.
     pub trace: Option<timepiece_trace::Trace>,
 }
 
@@ -218,13 +82,11 @@ impl std::error::Error for ShardProtocolError {}
 impl ShardReport {
     /// Assembles a report from a completed shard check; `wall_secs` is the
     /// check's own wall time.
-    #[allow(clippy::too_many_arguments)] // mirrors the wire frame field-for-field
     pub fn from_check(
         kind: BenchKind,
         k: usize,
         shard: usize,
         shards: usize,
-        plan: PlanSpec,
         topology: &Topology,
         assigned: &[NodeId],
         report: &CheckReport,
@@ -235,7 +97,6 @@ impl ShardReport {
             k,
             shard,
             shards,
-            plan,
             assigned: assigned.iter().map(|&v| topology.name(v).to_owned()).collect(),
             durations: report
                 .node_durations()
@@ -267,7 +128,6 @@ impl ShardReport {
             ("k", Json::from(self.k)),
             ("shard", Json::from(self.shard)),
             ("shards", Json::from(self.shards)),
-            ("plan", self.plan.to_json()),
             ("assigned", Json::arr(self.assigned.iter().map(Json::str))),
             (
                 "durations",
@@ -293,9 +153,10 @@ impl ShardReport {
     }
 
     /// Parses a report back from its JSON form. Reports from peers predating
-    /// the versioned protocol (no `version` / `plan` fields) parse as
-    /// version 0 with a striped plan, so the coordinator's version check can
-    /// name the mismatch instead of a field error masking it.
+    /// the versioned protocol (no `version` field) parse as version 0, so the
+    /// coordinator's version check can name the mismatch instead of a field
+    /// error masking it. Unknown fields — such as the `plan` older peers
+    /// still send — are ignored.
     ///
     /// # Errors
     ///
@@ -364,10 +225,6 @@ impl ShardReport {
             k: usize_field("k")?,
             shard: usize_field("shard")?,
             shards: usize_field("shards")?,
-            plan: match value.get("plan") {
-                None | Some(Json::Null) => PlanSpec::striped(),
-                Some(v) => PlanSpec::from_json(v)?,
-            },
             assigned,
             durations,
             failures,
@@ -415,15 +272,6 @@ pub enum MergeError {
         /// `bench k=K shards=N` the coordinator expected.
         expected: String,
         /// What the report claimed.
-        got: String,
-    },
-    /// A report's plan kind differs from the plan the coordinator computed.
-    PlanMismatch {
-        /// The worker that sent the report.
-        worker: String,
-        /// The coordinator's plan kind.
-        expected: String,
-        /// The report's plan kind.
         got: String,
     },
     /// Two reports claimed the same shard index.
@@ -478,9 +326,6 @@ impl fmt::Display for MergeError {
                     "worker {worker}: checked the wrong instance: expected {expected}, got {got}"
                 )
             }
-            MergeError::PlanMismatch { worker, expected, got } => {
-                write!(f, "worker {worker}: plan kind {got:?} does not match the coordinator's {expected:?}")
-            }
             MergeError::DuplicateShard { worker, earlier, shard } => {
                 write!(f, "worker {worker}: shard {shard} already reported by worker {earlier}")
             }
@@ -500,7 +345,8 @@ impl fmt::Display for MergeError {
 
 impl std::error::Error for MergeError {}
 
-/// The verified union of a row's shard reports, ready to become a [`Row`].
+/// The verified union of a row's shard reports, ready to become a
+/// [`Row`](crate::runner::Row).
 #[derive(Debug, Clone)]
 pub struct MergedShards {
     /// Every node's check duration, across all shards.
@@ -522,14 +368,13 @@ pub struct MergedShards {
 /// # Errors
 ///
 /// A [`MergeError`] naming the offending worker when a report is for the
-/// wrong instance/version/plan, a shard is duplicated, missing or out of
+/// wrong instance or version, a shard is duplicated, missing or out of
 /// range, the assigned sets fail to partition `topology`'s node set, or a
 /// worker skipped assigned nodes.
 pub fn merge_reports(
     kind: BenchKind,
     k: usize,
     shards: usize,
-    plan_kind: &str,
     topology: &Topology,
     reports: &[(String, ShardReport)],
 ) -> Result<MergedShards, MergeError> {
@@ -547,13 +392,6 @@ pub fn merge_reports(
                 worker: worker.clone(),
                 expected: format!("{} k={k} shards={shards}", kind.name()),
                 got: format!("{} k={} shards={}", report.bench, report.k, report.shards),
-            });
-        }
-        if report.plan.kind != plan_kind {
-            return Err(MergeError::PlanMismatch {
-                worker: worker.clone(),
-                expected: plan_kind.to_owned(),
-                got: report.plan.kind.clone(),
             });
         }
         if report.shard >= shards {
@@ -627,211 +465,17 @@ pub fn merge_reports(
     })
 }
 
-/// The worker side for an explicit node set: rebuild the instance, check
-/// exactly `nodes`, and report. This is both the forked worker's path (the
-/// coordinator hands it the plan's node list) and the deterministic replay
-/// path (`repro shard-worker --nodes ...` with the `assigned` list of any
-/// recorded [`ShardReport`]).
-pub fn run_shard_nodes(
-    kind: BenchKind,
-    k: usize,
-    shard: usize,
-    shards: usize,
-    plan_spec: PlanSpec,
-    nodes: &[NodeId],
-    options: &SweepOptions,
-) -> ShardReport {
-    let inst = fattree_instance(kind, k);
-    let checker = ModularChecker::new(CheckOptions {
-        timeout: Some(options.timeout),
-        threads: options.threads,
-        ..CheckOptions::default()
-    });
-    let report = checker
-        .check_nodes(&inst.network, &inst.interface, &inst.property, nodes)
-        .expect("benchmark instances encode");
-    let mut report = ShardReport::from_check(
-        kind,
-        k,
-        shard,
-        shards,
-        plan_spec,
-        inst.network.topology(),
-        nodes,
-        &report,
-    );
-    if timepiece_trace::enabled() {
-        report.trace = Some(timepiece_trace::take());
-    }
-    report
-}
-
-/// The legacy worker side: recompute the deterministic *striped* plan and
-/// check this shard of it. Kept for workers invoked without an explicit
-/// node list (`repro shard-worker` without `--nodes`).
-pub fn run_shard(
-    kind: BenchKind,
-    k: usize,
-    shard: usize,
-    shards: usize,
-    options: &SweepOptions,
-) -> ShardReport {
-    let inst = fattree_instance(kind, k);
-    let plan = plan(inst.network.topology(), shards);
-    assert!(shard < plan.shard_count(), "shard index {shard} out of range ({shards} shards)");
-    let nodes = plan.nodes_of(shard).to_vec();
-    run_shard_nodes(kind, k, shard, shards, PlanSpec::striped(), &nodes, options)
-}
-
-/// The coordinator side: fork one `shard-worker` subprocess per shard of
-/// the chosen plan, merge their reports into one sweep [`Row`], and *verify
-/// full coverage* through [`merge_reports`].
-///
-/// `worker_exe` is the binary to spawn (the `repro` binary spawns itself).
-/// The monolithic baseline, when enabled, runs in-process: it cannot shard.
-///
-/// Thread budget: with `options.threads = None` the machine's parallelism
-/// is divided across shards. An *explicit* thread count is forwarded to
-/// every worker unchanged — it means "threads per shard", so `--shards 4
-/// --threads 4` deliberately runs 16 solver threads; divide it yourself
-/// when benchmarking all shards on one host.
-///
-/// # Panics
-///
-/// Panics when a worker exits nonzero or the merged reports fail
-/// validation — the [`MergeError`] (naming the offending worker) is the
-/// panic message; a sharding bug must never pass silently as a smaller
-/// verification.
-pub fn run_row_sharded(
-    kind: BenchKind,
-    k: usize,
-    options: &SweepOptions,
-    shards: usize,
-    worker_exe: &Path,
-    choice: &PlanChoice,
-) -> Row {
-    assert!(shards >= 1, "need at least one shard");
-    let arena_before = timepiece_expr::arena::stats();
-    let inst = fattree_instance(kind, k);
-    let topology = inst.network.topology();
-    let (plan, spec, _predicted) = plan_row(topology, shards, choice);
-    let spec_arg = spec.to_json().to_string();
-
-    // a coordinator panic (worker failure, bad report, coverage violation)
-    // must not orphan the sibling workers mid-solve: guards kill any child
-    // not yet reaped when the stack unwinds
-    struct KillOnDrop(Option<std::process::Child>);
-    impl Drop for KillOnDrop {
-        fn drop(&mut self) {
-            if let Some(child) = &mut self.0 {
-                let _ = child.kill();
-            }
-        }
-    }
-
-    // each worker gets an explicit thread budget: the caller's choice when
-    // given, otherwise the machine's parallelism *divided across shards* —
-    // N workers each defaulting to all cores would oversubscribe the CPU
-    // N-fold and measure contention instead of sharding
-    let worker_threads = options.threads.unwrap_or_else(|| {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        (cores / shards).max(1)
-    });
-    let start = Instant::now();
-    let mut children: Vec<KillOnDrop> = (0..shards)
-        .map(|shard| {
-            let nodes: Vec<&str> = plan.nodes_of(shard).iter().map(|&v| topology.name(v)).collect();
-            let mut cmd = Command::new(worker_exe);
-            cmd.arg("shard-worker")
-                .args(["--bench", kind.name()])
-                .args(["--k", &k.to_string()])
-                .args(["--shard", &shard.to_string()])
-                .args(["--shards", &shards.to_string()])
-                .args(["--nodes", &nodes.join(",")])
-                .args(["--plan-spec", &spec_arg])
-                // millisecond precision: whole seconds would truncate a
-                // sub-second budget to an effectively zero solver timeout
-                .args(["--timeout-millis", &options.timeout.as_millis().to_string()])
-                .args(["--threads", &worker_threads.to_string()]);
-            if let Some(path) = kind.scenario_file() {
-                // file scenarios are not in the worker's seed registry; it
-                // recompiles the same file before resolving --bench
-                cmd.args(["--scenario-file", path]);
-            }
-            if timepiece_trace::enabled() {
-                // the worker collects its own spans and ships them back in
-                // the report; the coordinator merges them as its track
-                cmd.arg("--trace-spans");
-            }
-            cmd.stdout(Stdio::piped());
-            KillOnDrop(Some(
-                cmd.spawn().unwrap_or_else(|e| panic!("spawning shard worker {shard}: {e}")),
-            ))
-        })
-        .collect();
-    let reports: Vec<(String, ShardReport)> = children
-        .iter_mut()
-        .enumerate()
-        .map(|(shard, guard)| {
-            let worker = format!("fork{shard}");
-            let child = guard.0.take().expect("child not yet reaped");
-            let out = child.wait_with_output().expect("waiting for shard worker");
-            assert!(out.status.success(), "shard worker {shard} failed: {}", out.status);
-            let text = String::from_utf8(out.stdout).expect("shard report is UTF-8");
-            let json = Json::parse(&text).unwrap_or_else(|e| {
-                panic!("{}", MergeError::Protocol { worker: worker.clone(), detail: e.to_string() })
-            });
-            let mut report = ShardReport::from_json(&json).unwrap_or_else(|e| {
-                panic!("{}", MergeError::Protocol { worker: worker.clone(), detail: e.to_string() })
-            });
-            if let Some(trace) = report.trace.take() {
-                timepiece_trace::ingest(format!("shard{shard}"), trace);
-            }
-            (worker, report)
-        })
-        .collect();
-    let wall = start.elapsed();
-
-    let merged = merge_reports(kind, k, shards, &spec.kind, topology, &reports)
-        .unwrap_or_else(|e| panic!("{e}"));
-
-    let durations: Vec<Duration> =
-        merged.durations.iter().map(|&(_, secs)| Duration::from_secs_f64(secs)).collect();
-    let stats = TimingStats::from_durations(&durations);
-    let tp = EngineResult::classify(merged.verified, merged.timed_out, wall);
-    let ms = monolithic_result(&inst, options);
-    Row {
-        k,
-        nodes: topology.node_count(),
-        tp,
-        tp_median: stats.median,
-        tp_p99: stats.p99,
-        ms,
-        // coordinator-side traffic only: each worker process has its own
-        // arena and encoder caches, and those die with the worker
-        arena: timepiece_expr::arena::stats().delta_since(&arena_before),
-        terms: None,
-        classes: class_samples(topology, &merged.durations),
-        balance: Some(RowBalance {
-            plan: spec.kind.clone(),
-            shard_secs: merged.shard_secs,
-            steal_batches: 0,
-            stolen_shards: 0,
-            reassigned: 0,
-        }),
-        failing: merged.failing,
-    }
-}
-
-/// `max / mean` over measured shard wall seconds — re-exported view of
-/// [`timepiece_sched::cost::imbalance`] for report consumers.
-pub fn shard_imbalance(shard_secs: &[f64]) -> f64 {
-    imbalance(shard_secs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::fattree_instance;
+    use timepiece_core::check::{CheckOptions, ModularChecker};
+    use timepiece_sched::ShardPlan;
+
+    /// The class-striped plan the coordinator uses.
+    fn plan(topology: &Topology, shards: usize) -> ShardPlan {
+        ShardPlan::by_class(topology.nodes(), shards, |v| topology.node_class(v).to_owned())
+    }
 
     fn sample_report(shard: usize, shards: usize) -> ShardReport {
         ShardReport {
@@ -840,7 +484,6 @@ mod tests {
             k: 4,
             shard,
             shards,
-            plan: PlanSpec::striped(),
             assigned: vec!["core-0".to_owned(), "edge-1-0".to_owned()],
             durations: vec![("core-0".to_owned(), 0.25), ("edge-1-0".to_owned(), 0.125)],
             failures: vec![ShardFailure {
@@ -867,25 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_row_adaptive_covers_and_records_the_model() {
-        let inst = fattree_instance(BenchKind::parse("SpReach").unwrap(), 4);
-        let g = inst.network.topology();
-        let model = CostModel::fit(
-            [("core".to_owned(), 2.0), ("agg".to_owned(), 1.0), ("edge".to_owned(), 0.5)],
-            ["h1".to_owned()],
-        );
-        let (plan, spec, predicted) = plan_row(g, 3, &PlanChoice::Adaptive(model));
-        assert!(plan.covers(g.nodes()));
-        assert_eq!(spec.kind, "adaptive");
-        assert_eq!(spec.sources, ["h1".to_owned()]);
-        assert_eq!(spec.class_costs.len(), 3);
-        assert_eq!(predicted.len(), 3);
-        // round-trip the spec as it travels to workers
-        let parsed = PlanSpec::from_json(&Json::parse(&spec.to_json().to_string()).unwrap());
-        assert_eq!(parsed.unwrap(), spec);
-    }
-
-    #[test]
     fn shard_report_roundtrips_through_json() {
         let report = sample_report(1, 3);
         let parsed = ShardReport::from_json(&Json::parse(&report.to_json().to_string()).unwrap());
@@ -901,7 +525,6 @@ mod tests {
             k: 4,
             shard: 0,
             shards: 2,
-            plan: PlanSpec::striped(),
             assigned: vec!["core-0".to_owned()],
             durations: vec![("core-0".to_owned(), 0.25)],
             failures: vec![],
@@ -939,31 +562,20 @@ mod tests {
         let mut report = sample_report(0, 1);
         report.trace = None;
         let Json::Obj(pairs) = report.to_json() else { panic!("report is an object") };
-        let stripped =
-            Json::Obj(pairs.into_iter().filter(|(k, _)| k != "version" && k != "plan").collect());
+        let stripped = Json::Obj(pairs.into_iter().filter(|(k, _)| k != "version").collect());
         let parsed = ShardReport::from_json(&stripped).unwrap();
         assert_eq!(parsed.version, 0);
-        assert_eq!(parsed.plan, PlanSpec::striped());
     }
 
     #[test]
-    fn worker_checks_exactly_its_shard() {
-        let report = run_shard(
-            BenchKind::parse("SpReach").unwrap(),
-            4,
-            0,
-            2,
-            &SweepOptions { run_monolithic: false, ..SweepOptions::default() },
-        );
-        let inst = fattree_instance(BenchKind::parse("SpReach").unwrap(), 4);
-        let expected = plan(inst.network.topology(), 2);
-        assert_eq!(report.assigned.len(), expected.nodes_of(0).len());
-        assert_eq!(report.durations.len(), report.assigned.len());
-        assert!(report.failures.is_empty(), "SpReach k=4 verifies");
-        assert_eq!(report.version, PROTOCOL_VERSION);
-        assert_eq!(report.plan, PlanSpec::striped());
-        // the two shards of a 20-node fattree split 10/10
-        assert_eq!(report.assigned.len(), 10);
+    fn reports_from_planner_era_peers_still_parse() {
+        // older workers record the plan that produced their shard; the
+        // field is ignored, not an error
+        let report = sample_report(0, 1);
+        let Json::Obj(mut pairs) = report.to_json() else { panic!("report is an object") };
+        let plan = r#"{"kind":"adaptive","class_costs":[["core",8.0]],"sources":["h"]}"#;
+        pairs.push(("plan".to_owned(), Json::parse(plan).unwrap()));
+        assert_eq!(ShardReport::from_json(&Json::Obj(pairs)).unwrap(), report);
     }
 
     /// The ingestion-hardening suite: every broken report shape must produce
@@ -981,14 +593,26 @@ mod tests {
 
         /// Two honest striped-shard reports covering SpReach k=4.
         fn good_pair() -> Vec<(String, ShardReport)> {
-            let options = SweepOptions { run_monolithic: false, ..SweepOptions::default() };
-            (0..2).map(|s| (format!("w{s}"), run_shard(kind(), 4, s, 2, &options))).collect()
+            let inst = fattree_instance(kind(), 4);
+            let topology = inst.network.topology();
+            let plan = plan(topology, 2);
+            let checker = ModularChecker::new(CheckOptions::default());
+            (0..2)
+                .map(|s| {
+                    let nodes = plan.nodes_of(s);
+                    let report = checker
+                        .check_nodes(&inst.network, &inst.interface, &inst.property, nodes)
+                        .expect("SpReach encodes");
+                    let report = ShardReport::from_check(kind(), 4, s, 2, topology, nodes, &report);
+                    (format!("w{s}"), report)
+                })
+                .collect()
         }
 
         #[test]
         fn honest_reports_merge() {
             let reports = good_pair();
-            let merged = merge_reports(kind(), 4, 2, "striped", &topology(), &reports).unwrap();
+            let merged = merge_reports(kind(), 4, 2, &topology(), &reports).unwrap();
             assert!(merged.verified && !merged.timed_out);
             assert_eq!(merged.durations.len(), 20);
             assert_eq!(merged.shard_secs.len(), 2);
@@ -1014,7 +638,7 @@ mod tests {
         fn wrong_shard_count_names_the_worker() {
             let mut reports = good_pair();
             reports[1].1.shards = 3;
-            let err = merge_reports(kind(), 4, 2, "striped", &topology(), &reports).unwrap_err();
+            let err = merge_reports(kind(), 4, 2, &topology(), &reports).unwrap_err();
             assert!(
                 matches!(&err, MergeError::WrongInstance { worker, .. } if worker == "w1"),
                 "{err}"
@@ -1028,7 +652,7 @@ mod tests {
             reports[1].1.shard = 0;
             reports[1].1.assigned = reports[0].1.assigned.clone();
             reports[1].1.durations = reports[0].1.durations.clone();
-            let err = merge_reports(kind(), 4, 2, "striped", &topology(), &reports).unwrap_err();
+            let err = merge_reports(kind(), 4, 2, &topology(), &reports).unwrap_err();
             assert_eq!(
                 err,
                 MergeError::DuplicateShard {
@@ -1041,20 +665,12 @@ mod tests {
         }
 
         #[test]
-        fn version_and_plan_mismatches_are_typed() {
+        fn version_mismatches_are_typed() {
             let mut reports = good_pair();
             reports[0].1.version = PROTOCOL_VERSION + 1;
-            let err = merge_reports(kind(), 4, 2, "striped", &topology(), &reports).unwrap_err();
+            let err = merge_reports(kind(), 4, 2, &topology(), &reports).unwrap_err();
             assert!(
                 matches!(&err, MergeError::VersionMismatch { worker, .. } if worker == "w0"),
-                "{err}"
-            );
-
-            let mut reports = good_pair();
-            reports[1].1.plan.kind = "adaptive".to_owned();
-            let err = merge_reports(kind(), 4, 2, "striped", &topology(), &reports).unwrap_err();
-            assert!(
-                matches!(&err, MergeError::PlanMismatch { worker, .. } if worker == "w1"),
                 "{err}"
             );
         }
@@ -1062,13 +678,12 @@ mod tests {
         #[test]
         fn missing_out_of_range_and_skipped_shards_are_typed() {
             let reports = good_pair();
-            let err =
-                merge_reports(kind(), 4, 2, "striped", &topology(), &reports[..1]).unwrap_err();
+            let err = merge_reports(kind(), 4, 2, &topology(), &reports[..1]).unwrap_err();
             assert_eq!(err, MergeError::MissingShards { shards: vec![1] }, "{err}");
 
             let mut reports = good_pair();
             reports[1].1.shard = 7;
-            let err = merge_reports(kind(), 4, 2, "striped", &topology(), &reports).unwrap_err();
+            let err = merge_reports(kind(), 4, 2, &topology(), &reports).unwrap_err();
             assert!(
                 matches!(&err, MergeError::ShardOutOfRange { worker, shard: 7, .. } if worker == "w1"),
                 "{err}"
@@ -1076,7 +691,7 @@ mod tests {
 
             let mut reports = good_pair();
             reports[0].1.durations.pop();
-            let err = merge_reports(kind(), 4, 2, "striped", &topology(), &reports).unwrap_err();
+            let err = merge_reports(kind(), 4, 2, &topology(), &reports).unwrap_err();
             assert!(
                 matches!(&err, MergeError::SkippedNodes { worker, shard: 0 } if worker == "w0"),
                 "{err}"
@@ -1090,14 +705,14 @@ mod tests {
             let stolen = reports[0].1.assigned[0].clone();
             reports[1].1.assigned.push(stolen.clone());
             reports[1].1.durations.push((stolen, 0.01));
-            let err = merge_reports(kind(), 4, 2, "striped", &topology(), &reports).unwrap_err();
+            let err = merge_reports(kind(), 4, 2, &topology(), &reports).unwrap_err();
             assert!(matches!(&err, MergeError::Coverage { .. }), "{err}");
 
             let mut reports = good_pair();
             // a node silently dropped from the plan
             reports[1].1.assigned.pop();
             reports[1].1.durations.pop();
-            let err = merge_reports(kind(), 4, 2, "striped", &topology(), &reports).unwrap_err();
+            let err = merge_reports(kind(), 4, 2, &topology(), &reports).unwrap_err();
             assert!(matches!(&err, MergeError::Coverage { .. }), "{err}");
         }
     }

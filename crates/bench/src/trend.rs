@@ -15,17 +15,15 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use timepiece_sched::{CostModel, Json};
-
-use crate::runner::ClassSample;
+use timepiece_sched::Json;
 
 /// One benchmark's measurement extracted from a dump.
 ///
 /// Only `bench`, `k` and the `tp` outcome are required of a dump row — the
 /// schema has grown since the first dumps were written (arena stats, term
 /// cache, per-class costs, shard balance), and history files from older
-/// releases must keep ingesting, so every later field is optional and
-/// defaults to "absent".
+/// releases must keep ingesting, so every later field is optional (and
+/// fields this module does not chart are ignored).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrendPoint {
     /// Benchmark name.
@@ -36,11 +34,6 @@ pub struct TrendPoint {
     pub outcome: String,
     /// Modular-engine wall seconds.
     pub wall_secs: f64,
-    /// Per-class cost samples, for rows new enough to record them — the
-    /// data [`fit_cost_model`] turns into adaptive shard plans.
-    pub classes: Vec<ClassSample>,
-    /// Which shard planner the row ran under, when it ran sharded.
-    pub plan: Option<String>,
     /// Measured max/mean shard wall-time ratio, when the row ran sharded.
     pub imbalance: Option<f64>,
 }
@@ -90,12 +83,6 @@ pub fn parse_dump(text: &str) -> Result<Vec<TrendPoint>, TrendError> {
                     .get("wall_secs")
                     .and_then(Json::as_f64)
                     .ok_or_else(|| TrendError("row.tp.wall_secs".to_owned()))?,
-                classes: parse_classes(row),
-                plan: row
-                    .get("balance")
-                    .and_then(|b| b.get("plan"))
-                    .and_then(Json::as_str)
-                    .map(str::to_owned),
                 imbalance: row
                     .get("balance")
                     .and_then(|b| b.get("imbalance"))
@@ -103,63 +90,6 @@ pub fn parse_dump(text: &str) -> Result<Vec<TrendPoint>, TrendError> {
             })
         })
         .collect()
-}
-
-/// The row's per-class cost samples, when the dump is new enough to carry
-/// them. A malformed entry is dropped rather than failing the whole dump:
-/// class stats only *steer* future plans, they never gate ingestion.
-fn parse_classes(row: &Json) -> Vec<ClassSample> {
-    let Some(classes) = row.get("classes").and_then(Json::as_arr) else {
-        return Vec::new();
-    };
-    classes
-        .iter()
-        .filter_map(|entry| {
-            Some(ClassSample {
-                class: entry.get("class").and_then(Json::as_str)?.to_owned(),
-                nodes: entry.get("nodes").and_then(Json::as_usize)?,
-                total_secs: entry.get("total_secs").and_then(Json::as_f64)?,
-            })
-        })
-        .collect()
-}
-
-/// Fits a per-class [`CostModel`] for `bench` from labelled dumps (oldest
-/// first): every row of the same benchmark contributes one sample per class
-/// (its measured mean seconds per node of that class). When no dump has
-/// class data for `bench`, rows of *other* benchmarks are used instead —
-/// relative core/agg/edge ratios transfer across properties far better
-/// than absolute times — and with no class data anywhere the model is
-/// [uniform](CostModel::uniform).
-pub fn fit_cost_model(dumps: &[(String, Vec<TrendPoint>)], bench: &str) -> CostModel {
-    let gather = |same_bench_only: bool| {
-        let mut samples: Vec<(String, f64)> = Vec::new();
-        let mut sources: Vec<String> = Vec::new();
-        for (label, points) in dumps {
-            let mut contributed = false;
-            for point in points {
-                if same_bench_only && !point.bench.eq_ignore_ascii_case(bench) {
-                    continue;
-                }
-                for class in &point.classes {
-                    if class.nodes > 0 {
-                        samples.push((class.class.clone(), class.mean_secs()));
-                        contributed = true;
-                    }
-                }
-            }
-            if contributed {
-                sources.push(label.clone());
-            }
-        }
-        (samples, sources)
-    };
-    let (samples, sources) = gather(true);
-    if !samples.is_empty() {
-        return CostModel::fit(samples, sources);
-    }
-    let (samples, sources) = gather(false);
-    CostModel::fit(samples, sources)
 }
 
 /// One `repro soak` row as a trend point: the series is `BENCH+delta`, the
@@ -177,8 +107,6 @@ fn parse_soak_row(row: &Json) -> Result<TrendPoint, TrendError> {
         k: field("k")?.as_usize().ok_or_else(|| TrendError("soak row.k type".to_owned()))?,
         outcome: if ok { "verified".to_owned() } else { "failed".to_owned() },
         wall_secs: p50_ms / 1e3,
-        classes: Vec::new(),
-        plan: None,
         imbalance: None,
     })
 }
@@ -259,8 +187,8 @@ pub fn render(labels: &[String], dumps: &[Vec<TrendPoint>]) -> String {
 }
 
 /// Renders the shard-balance table — one row per `(bench, k)` series with
-/// any measured imbalance, cells `plan:ratio` (e.g. `adaptive:1.08`) —
-/// or `None` when no ingested dump ran sharded, so callers can skip the
+/// any measured imbalance, cells the max/mean ratio (e.g. `1.08`) — or
+/// `None` when no ingested dump ran sharded, so callers can skip the
 /// section entirely for pre-sharding histories.
 pub fn render_balance(labels: &[String], dumps: &[Vec<TrendPoint>]) -> Option<String> {
     use std::fmt::Write as _;
@@ -272,18 +200,10 @@ pub fn render_balance(labels: &[String], dumps: &[Vec<TrendPoint>]) -> Option<St
         return None;
     }
     let cell = |point: &Option<TrendPoint>| match point {
-        Some(TrendPoint { imbalance: Some(ratio), plan, .. }) => {
-            format!("{}:{ratio:.2}", plan.as_deref().unwrap_or("?"))
-        }
+        Some(TrendPoint { imbalance: Some(ratio), .. }) => format!("{ratio:.2}"),
         _ => "-".to_owned(),
     };
-    let width = labels
-        .iter()
-        .map(String::len)
-        .chain(rows.iter().flat_map(|t| t.points.iter().map(|p| cell(p).len())))
-        .max()
-        .unwrap_or(0)
-        .max(10);
+    let width = labels.iter().map(String::len).max().unwrap_or(0).max(10);
     let bench_width = rows.iter().map(|t| t.bench.len()).max().unwrap_or(0).max(10);
     let mut out = String::new();
     let _ = writeln!(out, "shard balance (max/mean wall, 1.00 is perfect):");
@@ -396,22 +316,20 @@ mod tests {
         assert_eq!(points[0].bench, "SpReach");
         assert_eq!(points[0].wall_secs, 1.25);
         // the fields that postdate the schema parse as absent, not errors
-        assert!(points[0].classes.is_empty());
-        assert_eq!(points[0].plan, None);
         assert_eq!(points[0].imbalance, None);
         // and they still align in a trajectory table next to modern dumps
         let modern = parse_dump(&dump(&[("SpReach", 4, "verified", 0.9)])).unwrap();
-        let table = render(&["pr4".to_owned(), "now".to_owned()], &[points.clone(), modern]);
+        let table = render(&["pr4".to_owned(), "now".to_owned()], &[points, modern]);
         assert!(table.contains("1.25s"));
-        // a history with no class data fits only the uniform model
-        assert!(fit_cost_model(&[("pr4".to_owned(), points)], "SpReach").is_uniform());
     }
 
-    fn classed_dump(bench: &str, k: usize, classes: &str) -> Vec<TrendPoint> {
+    /// A sharded row as planner-era releases wrote it: `balance` still
+    /// names the shard planner, which ingestion ignores.
+    fn sharded_dump(bench: &str, k: usize) -> Vec<TrendPoint> {
         let text = format!(
             r#"{{"timeout_secs":60,"rows":[{{"bench":"{bench}","figure":"x","k":{k},"nodes":20,
                 "tp":{{"outcome":"verified","wall_secs":2.0}},"ms":null,
-                "classes":[{classes}],
+                "classes":[{{"class":"core","nodes":4,"total_secs":8.0}}],
                 "balance":{{"plan":"striped","shard_secs":[1.5,0.5],"imbalance":1.5,
                             "steal_batches":0,"stolen_shards":0,"reassigned":0}}}}]}}"#
         );
@@ -419,44 +337,14 @@ mod tests {
     }
 
     #[test]
-    fn cost_models_fit_from_class_samples_and_prefer_the_same_bench() {
-        let reach = classed_dump(
-            "SpReach",
-            4,
-            r#"{"class":"core","nodes":4,"total_secs":8.0},
-               {"class":"edge","nodes":8,"total_secs":8.0}"#,
-        );
-        let med = classed_dump("SpMed", 4, r#"{"class":"core","nodes":4,"total_secs":40.0}"#);
-        let dumps = vec![("a".to_owned(), reach), ("b".to_owned(), med)];
-        // SpReach samples exist: core 2.0 s/node, edge 1.0 s/node, and only
-        // dump "a" contributes
-        let model = fit_cost_model(&dumps, "SpReach");
-        assert_eq!(model.cost_of("core"), 2.0);
-        assert_eq!(model.cost_of("edge"), 1.0);
-        assert_eq!(model.sources(), ["a".to_owned()]);
-        // an unseen bench borrows every dump's samples (relative ratios
-        // transfer): core averages (2.0 + 10.0) / 2
-        let model = fit_cost_model(&dumps, "ApHijack");
-        assert_eq!(model.cost_of("core"), 6.0);
-        assert_eq!(model.sources(), ["a".to_owned(), "b".to_owned()]);
-        // malformed class entries drop without failing the dump
-        let sloppy = classed_dump(
-            "SpAd",
-            4,
-            r#"{"class":"core"},{"class":"edge","nodes":2,"total_secs":1.0}"#,
-        );
-        assert_eq!(sloppy[0].classes.len(), 1);
-    }
-
-    #[test]
     fn balance_table_appears_only_for_sharded_history() {
         let unsharded = parse_dump(&dump(&[("SpReach", 4, "verified", 2.0)])).unwrap();
         assert_eq!(render_balance(&["a".to_owned()], std::slice::from_ref(&unsharded)), None);
-        let sharded = classed_dump("SpReach", 4, "");
+        let sharded = sharded_dump("SpReach", 4);
         assert_eq!(sharded[0].imbalance, Some(1.5));
         let table = render_balance(&["a".to_owned(), "b".to_owned()], &[unsharded, sharded])
             .expect("sharded history renders");
-        assert!(table.contains("striped:1.50"), "{table}");
+        assert!(table.contains("1.50"), "{table}");
         assert!(table.contains("shard balance"), "{table}");
     }
 }

@@ -1,29 +1,14 @@
-//! End-to-end test of the multi-process sharding pipeline: the real `repro`
-//! binary, real forked shard workers, real JSON over the process boundary.
+//! End-to-end tests of the multi-process sharding pipeline: the real `repro`
+//! binary, real loopback `repro worker` processes, real JSON over TCP.
 
+use std::net::TcpStream;
 use std::process::Command;
 
-use timepiece_bench::ShardReport;
+use timepiece_bench::LoopbackWorkers;
 use timepiece_sched::Json;
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
-}
-
-#[test]
-fn shard_worker_emits_a_parsable_report() {
-    let out = repro()
-        .args(["shard-worker", "--bench", "SpReach", "--k", "4", "--shard", "1", "--shards", "2"])
-        .output()
-        .expect("repro runs");
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let text = String::from_utf8(out.stdout).unwrap();
-    let report = ShardReport::from_json(&Json::parse(&text).expect("valid JSON")).unwrap();
-    assert_eq!(report.bench, "SpReach");
-    assert_eq!((report.k, report.shard, report.shards), (4, 1, 2));
-    assert_eq!(report.assigned.len(), 10, "half of the 20-node fattree");
-    assert_eq!(report.durations.len(), report.assigned.len());
-    assert!(report.failures.is_empty(), "SpReach k=4 verifies");
 }
 
 #[test]
@@ -62,61 +47,82 @@ fn sharded_fig14_merges_reports_and_writes_json_rows() {
 }
 
 #[test]
-fn shard_worker_replays_an_explicit_node_list() {
-    // the deterministic-replay contract: any shard reruns from its report's
-    // recorded plan spec and assigned node list alone
-    let spec =
-        r#"{"kind":"adaptive","class_costs":[["core",8.0],["edge",1.0]],"sources":["older-dump"]}"#;
-    let nodes = "core-0,edge-0-0,edge-1-1";
+fn file_scenarios_shard_across_loopback_workers() {
+    // the workers are started with the same --scenario-file, so they can
+    // rebuild the compiled instance the coordinator names
+    let json_path =
+        std::env::temp_dir().join(format!("timepiece-file-rows-{}.json", std::process::id()));
+    let scenario = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/scenarios/sp_reach.toml");
     let out = repro()
-        .args(["shard-worker", "--bench", "SpReach", "--k", "4", "--shard", "0", "--shards", "3"])
-        .args(["--nodes", nodes, "--plan-spec", spec])
+        .args(["fig14", "--scenario-file", scenario, "--shards", "2", "--no-ms"])
+        .args(["--json", json_path.to_str().unwrap()])
         .output()
         .expect("repro runs");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let text = String::from_utf8(out.stdout).unwrap();
-    let report = ShardReport::from_json(&Json::parse(&text).expect("valid JSON")).unwrap();
-    assert_eq!(report.assigned, ["core-0", "edge-0-0", "edge-1-1"]);
-    assert_eq!(report.durations.len(), 3, "exactly the explicit nodes are checked");
-    assert_eq!(report.plan.kind, "adaptive");
-    assert_eq!(report.plan.class_costs, [("core".to_owned(), 8.0), ("edge".to_owned(), 1.0)]);
-    assert_eq!(report.plan.sources, ["older-dump"]);
-    assert!(report.failures.is_empty(), "SpReach k=4 verifies");
-
-    let out = repro()
-        .args(["shard-worker", "--bench", "SpReach", "--k", "4", "--shard", "0", "--shards", "3"])
-        .args(["--nodes", "core-0,no-such-node"])
-        .output()
-        .expect("repro runs");
-    assert!(!out.status.success(), "unknown node names must be a usage error");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("no-such-node"), "stderr: {stderr}");
+    let doc = Json::parse(&std::fs::read_to_string(&json_path).unwrap()).unwrap();
+    std::fs::remove_file(&json_path).ok();
+    let rows = doc.get("rows").and_then(Json::as_arr).unwrap();
+    assert_eq!(rows.len(), 1, "a file scenario is one row at its native size");
+    let tp = rows[0].get("tp").unwrap();
+    assert_eq!(tp.get("outcome").and_then(Json::as_str), Some("verified"), "{doc}");
+    assert_eq!(tp.get("shards").and_then(Json::as_usize), Some(2), "{doc}");
 }
 
 #[test]
-fn plan_subcommand_prints_both_planners() {
-    let out = repro()
-        .args(["plan", "--bench", "SpReach", "--k", "4", "--shards", "2"])
-        .output()
-        .expect("repro runs");
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("20 nodes over 2 shards"), "{text}");
-    assert!(text.contains("cost model: uniform"), "{text}");
-    assert!(text.contains("--- striped plan"), "{text}");
-    assert!(text.contains("--- adaptive plan"), "{text}");
-    assert!(text.contains("core-0"), "plans list nodes by name: {text}");
+fn usage_lists_exactly_the_supported_subcommands() {
+    // sharding has one runtime (`worker`) and one planner, so the table
+    // offers no separate shard process or plan preview
+    let out = repro().arg("--help").output().expect("repro runs");
+    assert_eq!(out.status.code(), Some(2));
+    let usage = String::from_utf8_lossy(&out.stderr);
+    let subcommands: Vec<&str> = usage
+        .lines()
+        .skip_while(|line| *line != "subcommands:")
+        .skip(1)
+        .take_while(|line| !line.is_empty())
+        .filter_map(|line| line.split_whitespace().next())
+        .collect();
+    assert_eq!(
+        subcommands,
+        [
+            "fig1", "fig3", "fig13", "fig14", "table1", "table2", "table3", "wan", "keyideas",
+            "infer", "arena", "profile", "trend", "serve", "ask", "soak", "worker", "fuzz",
+            "check", "export", "all"
+        ],
+        "{usage}"
+    );
 }
 
 #[test]
-fn shard_worker_rejects_bad_arguments() {
-    let out = repro()
-        .args(["shard-worker", "--bench", "SpReach", "--k", "4", "--shard", "5", "--shards", "2"])
-        .output()
-        .expect("repro runs");
-    assert!(!out.status.success(), "out-of-range shard index must fail");
-    let out = repro().args(["shard-worker", "--bench", "SpReach"]).output().expect("repro runs");
-    assert!(!out.status.success(), "missing --k/--shard must fail");
+fn loopback_workers_die_with_a_panicking_coordinator() {
+    let exe = std::path::Path::new(env!("CARGO_BIN_EXE_repro"));
+    let mut addrs = Vec::new();
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let workers = LoopbackWorkers::spawn(exe, 2, &[]).expect("workers start");
+        addrs = workers.addrs().to_vec();
+        for addr in &addrs {
+            TcpStream::connect(addr).expect("a spawned worker listens");
+        }
+        panic!("coordinator bug mid-sweep");
+    }));
+    assert!(panicked.is_err());
+    assert_eq!(addrs.len(), 2);
+    // unwinding dropped the set, which killed and reaped both children:
+    // nothing listens on their ports any more
+    for addr in &addrs {
+        assert!(TcpStream::connect(addr).is_err(), "worker at {addr} outlived the coordinator");
+    }
+}
+
+#[test]
+fn halted_loopback_workers_exit_cleanly() {
+    let exe = std::path::Path::new(env!("CARGO_BIN_EXE_repro"));
+    let workers = LoopbackWorkers::spawn(exe, 2, &[]).expect("workers start");
+    let addrs = workers.addrs().to_vec();
+    assert_eq!(workers.halt(), Vec::<String>::new(), "both workers exit 0 on halt");
+    for addr in &addrs {
+        assert!(TcpStream::connect(addr).is_err(), "worker at {addr} survived halt");
+    }
 }
 
 #[test]

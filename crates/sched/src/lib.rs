@@ -15,12 +15,10 @@
 //!   discovered violation stops the fleet in interrupt latency, not in
 //!   time-to-finish-the-longest-solve.
 //! * **Across processes** — [`ShardPlan`]: a deterministic partition of the
-//!   node set by symmetry class, recomputed identically by a coordinator
-//!   and its worker subprocesses, plus the [`Json`] value type their shard
-//!   reports travel in. The [`cost`] module upgrades striped plans to
-//!   cost-adaptive ones: a per-class [`CostModel`] (fit from measured
-//!   sweep history) drives LPT bin packing so every shard carries the same
-//!   *predicted seconds*, not just the same node count.
+//!   node set that stripes every symmetry class across shards, so each
+//!   shard carries the same cost mix, plus the [`Json`] value type shard
+//!   reports travel in. Imbalance left over at run time is the TCP
+//!   coordinator's job: it steals whole shards from busy workers.
 //!
 //! The scheduler is deliberately independent of SMT types: tasks are any
 //! `Send` values, per-worker state is any type, and cancellation hooks are
@@ -53,7 +51,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cancel;
-pub mod cost;
 pub mod pool;
 pub mod queue;
 pub mod shard;
@@ -65,7 +62,6 @@ pub mod shard;
 pub use timepiece_trace::json;
 
 pub use cancel::CancelToken;
-pub use cost::{plan_adaptive, CostModel, CostedPlan};
 pub use json::{Json, JsonError};
 pub use pool::{run, SchedOutcome, SchedStats};
 pub use queue::StealQueue;

@@ -3,9 +3,8 @@
 //! The all-pairs fattree benchmarks produce one independent check per node,
 //! so they shard trivially — *if* every participant agrees on the
 //! partition. A [`ShardPlan`] is a pure function of `(node set, shard count,
-//! class key)`: the coordinator and each worker subprocess rebuild the same
-//! instance and recompute the same plan, so no node list ever crosses a
-//! process boundary, only the shard *index* does.
+//! class key)`, so the same sweep always produces the same shards and a
+//! merged result can be checked against the plan that produced it.
 //!
 //! Nodes are grouped by a caller-supplied *symmetry-class* key (for
 //! fattrees: core / aggregation / edge, cf. `Topology::node_class`) and each
@@ -68,14 +67,6 @@ impl ShardPlan {
             }
         }
         plan
-    }
-
-    /// A plan from an explicit partition, e.g. one computed by the
-    /// cost-adaptive planner ([`crate::cost::plan_adaptive`]) or received
-    /// over a coordinator protocol. The caller is responsible for the
-    /// partition property; [`ShardPlan::covers`] checks it.
-    pub fn from_shards(shards: Vec<Vec<NodeId>>) -> ShardPlan {
-        ShardPlan { shards }
     }
 
     /// The number of shards planned.

@@ -9,6 +9,11 @@
 //! emits. It lives at the bottom of the crate stack so both this crate's
 //! exporters and `timepiece-sched`'s shard reports (which re-exports it)
 //! can use it.
+//!
+//! The parser reads untrusted input (worker and daemon frames off TCP,
+//! `--json` dumps), so its recursion is bounded: a document nested deeper
+//! than [`MAX_DEPTH`] arrays/objects is a [`JsonError`], not a stack
+//! overflow.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -102,7 +107,7 @@ impl Json {
     ///
     /// Returns [`JsonError`] with a byte offset on malformed input.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut parser = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut parser = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         parser.skip_ws();
         let value = parser.value()?;
         parser.skip_ws();
@@ -212,9 +217,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest array/object nesting [`Json::parse`] accepts. Far above any
+/// frame, report or dump the workspace writes (those nest a handful of
+/// levels); one more level is a parse error, so a hostile peer cannot
+/// exhaust the parser's stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -256,12 +269,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(format!("unexpected character {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object, one nesting level below the current one.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -562,6 +589,25 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"unterminated", "{'a':1}"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // a 200k-deep line used to overflow the parser's stack and abort
+        // the process; now it is an ordinary error at the first level over
+        let deep = "[".repeat(200_000);
+        let err = Json::parse(&deep).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        assert!(err.message.contains("nesting"), "{err}");
+        let err = read_line_value(&mut format!("{deep}\n").as_bytes(), usize::MAX).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        // exactly MAX_DEPTH levels (mixed arrays and objects) still parse
+        let mut doc = "null".to_owned();
+        for level in 0..MAX_DEPTH {
+            doc = if level % 2 == 0 { format!("[{doc}]") } else { format!("{{\"k\":{doc}}}") };
+        }
+        assert_eq!(Json::parse(&doc).unwrap().to_string(), doc);
+        assert!(Json::parse(&format!("[{doc}]")).is_err(), "one level over the cap");
     }
 
     #[test]
